@@ -195,3 +195,34 @@ func TestRandomFaultSchedulesLiveness(t *testing.T) {
 		}
 	}
 }
+
+// TestSoftwareBarrierLeavesGLinesDark pins power gating of idle G-line
+// networks. A software-barrier run never arrives at a G-line barrier, so
+// its network — hierarchical at 32 cores — must stay switched off under a
+// G-line fault plan: no active cycles and no fault on any line. Stepping
+// the idle global lines whenever the rest of the chip was busy used to
+// inject spurious pulses into them and count every such cycle as active.
+func TestSoftwareBarrierLeavesGLinesDark(t *testing.T) {
+	const cores = 32
+	if config.Default(cores).GLFitsFlat() {
+		t.Fatalf("%d cores fit a flat G-line network; the check needs the hierarchical one", cores)
+	}
+	for _, kind := range []BarrierKind{CSW, DSW} {
+		rep, err := runWithPlan(cores, &workload.Synthetic{Iters: 5}, kind, FaultPlan(1e-3))
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if rep.GLActiveCycles != 0 {
+			t.Errorf("%s: GLActiveCycles = %d on a network no core uses, want 0", kind, rep.GLActiveCycles)
+		}
+		for _, name := range rep.Metrics.SortedCounterNames() {
+			v := rep.Metrics.Counters[name]
+			if v != 0 && (strings.HasPrefix(name, fault.MetricInjectedPrefix+"gl.") || strings.HasPrefix(name, fault.MetricInjectedPrefix+"scsma.")) {
+				t.Errorf("%s: %s = %d on a network no core uses, want 0", kind, name, v)
+			}
+		}
+		if rep.Metrics.Counters[fault.MetricInjectedPrefix+"noc.corrupt"] == 0 {
+			t.Errorf("%s: the plan injected no NoC faults either; the check is vacuous", kind)
+		}
+	}
+}

@@ -12,11 +12,12 @@
 //   - time.Sleep and friends.
 //
 // Roots are discovered three ways: functions carrying a `//glvet:cyclepath`
-// doc-comment directive; methods named Tick on types implementing
-// repro/internal/engine.Ticker (the per-cycle component contract: G-line
-// network FSMs, the NoC router, the recovering-barrier guard); and methods
-// named Wait on types implementing repro/internal/barrier.Barrier (the
-// per-episode barrier entry points).
+// doc-comment directive; the Tick and Busy methods of types implementing
+// repro/internal/engine.Component (the clocked-component contract the
+// engine steps on every cycle a component is due, and polls after each
+// stepped cycle: G-line network FSMs, the NoC mesh, the recovering-barrier
+// guard); and methods named Wait on types implementing
+// repro/internal/barrier.Barrier (the per-episode barrier entry points).
 //
 // The call graph is the framework's shared one (analysis.BuildCallGraph):
 // it follows static calls and interface method calls (resolved to every
@@ -46,7 +47,8 @@ var Analyzer = &analysis.Analyzer{
 // rootIfaces names the interfaces whose in-module implementations are
 // cycle-path roots, by (package path, interface name, method name).
 var rootIfaces = []struct{ pkg, iface, method string }{
-	{"repro/internal/engine", "Ticker", "Tick"},
+	{"repro/internal/engine", "Component", "Tick"},
+	{"repro/internal/engine", "Component", "Busy"},
 	{"repro/internal/barrier", "Barrier", "Wait"},
 }
 

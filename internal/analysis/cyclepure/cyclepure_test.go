@@ -10,3 +10,9 @@ import (
 func TestCyclepure(t *testing.T) {
 	analysistest.Run(t, "testdata/src/cyclepuretest", cyclepure.Analyzer)
 }
+
+// TestCyclepureComponentRoots checks that the engine.Component contract's
+// entry points are roots without any directive.
+func TestCyclepureComponentRoots(t *testing.T) {
+	analysistest.Run(t, "testdata/src/componenttest", cyclepure.Analyzer)
+}

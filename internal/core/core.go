@@ -76,14 +76,17 @@ func (l *Line) Assert() {
 
 // sample latches the cycle's transmitter count for the receiver and clears
 // the wire for the next cycle. An installed fault injector may perturb the
-// observed count (drops, spurious assertions, miscounts, stuck-at).
-func (l *Line) sample(cycle uint64) {
+// observed count (drops, spurious assertions, miscounts, stuck-at). It
+// returns how many transmitters actually asserted the line.
+func (l *Line) sample(cycle uint64) (asserted int) {
 	n := l.tx
 	l.tx = 0
 	if l.inj.GLActive() {
-		n = l.inj.SampleLine(l.id, cycle, n)
+		l.sampled = l.inj.SampleLine(l.id, cycle, n)
+		return n
 	}
 	l.sampled = n
+	return n
 }
 
 // Count returns the S-CSMA count the receiver observed for the last
@@ -177,20 +180,25 @@ func (m *masterH) assertPhase() {
 	}
 }
 
-func (m *masterH) samplePhase(release func(tile int)) {
+// samplePhase observes the cycle's samples and reports whether the
+// controller's state changed.
+func (m *masterH) samplePhase(release func(tile int)) (changed bool) {
 	if !m.enabled {
-		return
+		return false
 	}
 	switch m.state {
 	case masterAccounting:
+		n := m.arr.Count()
 		if m.serial {
-			m.backlog += m.arr.Count()
+			m.backlog += n
 			if m.backlog > 0 {
 				m.scnt++
 				m.backlog--
+				changed = true
 			}
-		} else {
-			m.scnt += m.arr.Count()
+		} else if n != 0 {
+			m.scnt += n
+			changed = true
 		}
 		if m.scnt > m.scntMax {
 			if !m.tolerant {
@@ -198,12 +206,14 @@ func (m *masterH) samplePhase(release func(tile int)) {
 			}
 			m.scnt = m.scntMax
 		}
-		if m.regs.barReg {
+		if m.regs.barReg && !m.mcnt {
 			m.mcnt = true
+			changed = true
 		}
 		if m.scnt == m.scntMax && (m.mcnt || !m.mcntReq) {
 			m.regs.flagH = true
 			m.state = masterWaiting
+			changed = true
 		}
 	case masterWaiting:
 		if m.drove {
@@ -214,12 +224,14 @@ func (m *masterH) samplePhase(release func(tile int)) {
 			m.scnt = 0
 			m.mcnt = false
 			m.state = masterAccounting
+			changed = true
 			if m.regs.barReg {
 				m.regs.barReg = false
 				release(m.tile)
 			}
 		}
 	}
+	return changed
 }
 
 // slaveV is the vertical slave controller at a row's col==0 tile (row>0).
@@ -286,17 +298,22 @@ func (m *masterV) assertPhase() {
 	}
 }
 
-func (m *masterV) samplePhase() {
+// samplePhase observes the cycle's samples and reports whether the
+// controller's state changed.
+func (m *masterV) samplePhase() (changed bool) {
 	switch m.state {
 	case masterAccounting:
+		n := m.arr.Count()
 		if m.serial {
-			m.backlog += m.arr.Count()
+			m.backlog += n
 			if m.backlog > 0 {
 				m.scnt++
 				m.backlog--
+				changed = true
 			}
-		} else {
-			m.scnt += m.arr.Count()
+		} else if n != 0 {
+			m.scnt += n
+			changed = true
 		}
 		if m.scnt > m.scntMax {
 			if !m.tolerant {
@@ -312,10 +329,11 @@ func (m *masterV) samplePhase() {
 			if m.episodeDone != nil {
 				m.episodeDone()
 			}
+			changed = true
 		}
 	case masterWaiting:
 		if !m.drove {
-			return
+			return false
 		}
 		// The release pulse was driven this cycle; reset. Row 0's
 		// MasterH is released the same way SlaveV releases the others.
@@ -327,5 +345,7 @@ func (m *masterV) samplePhase() {
 			m.mh.relPend = true
 		}
 		m.state = masterAccounting
+		changed = true
 	}
+	return changed
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
@@ -27,7 +28,13 @@ type Hierarchical struct {
 
 	release  func(core int)
 	schedule func(delay uint64, fn func())
-	cycles   uint64
+	gate     powerGate
+	steps    uint64 // global-layer steps run (host work)
+
+	// wake and armed play the same roles as in Network; the cluster
+	// networks wake the hierarchy through the same handle.
+	wake  engine.Waker
+	armed bool
 
 	currentCycle uint64
 
@@ -177,6 +184,7 @@ func (h *Hierarchical) Contexts() int { return h.contexts }
 // followed by the global arrival/release pair of each context, so fault
 // decisions stay deterministic per line across runs.
 func (h *Hierarchical) SetInjector(inj *fault.Injector) {
+	h.armed = inj.GLActive()
 	id := uint64(0)
 	for _, slot := range h.clusters {
 		id = slot.net.setInjectorFrom(inj, id)
@@ -238,6 +246,7 @@ func (h *Hierarchical) ResetContext(ctxID int) error {
 	l.drove = 0
 	l.gArr.tx, l.gArr.sampled = 0, 0
 	l.gRel.tx, l.gRel.sampled = 0, 0
+	h.wake.Wake()
 	return nil
 }
 
@@ -333,27 +342,75 @@ func (h *Hierarchical) LineCount() int {
 	return n + 2*len(h.layers)
 }
 
-// ActiveCycles returns cycles the hierarchy was stepped with work pending.
-func (h *Hierarchical) ActiveCycles() uint64 { return h.cycles }
+// ActiveCycles returns the cycles the hierarchy had a barrier in flight,
+// stepped or asleep.
+func (h *Hierarchical) ActiveCycles() uint64 { return h.gate.active(h.wake.Now()) }
 
-// Tick steps the cluster networks and then the global layers.
-func (h *Hierarchical) Tick(cycle uint64) bool {
-	h.currentCycle = cycle
-	active := false
+// SetWaker hands the hierarchy (and its cluster networks, whose inputs
+// wake it) the engine handle.
+func (h *Hierarchical) SetWaker(w engine.Waker) {
+	h.wake = w
 	for _, slot := range h.clusters {
-		if slot.net.Tick(cycle) {
-			active = true
+		slot.net.SetWaker(w)
+	}
+}
+
+// Busy reports whether any cluster or global layer has a barrier in
+// flight.
+func (h *Hierarchical) Busy() bool {
+	for _, slot := range h.clusters {
+		if slot.net.Busy() {
+			return true
 		}
 	}
 	for _, l := range h.layers {
-		if l.step(cycle) {
-			active = true
+		if l.busy() {
+			return true
 		}
 	}
-	if active {
-		h.cycles++
+	return false
+}
+
+// Steps returns the context steps run by the cluster networks plus the
+// global-layer steps.
+func (h *Hierarchical) Steps() uint64 {
+	n := h.steps
+	for _, slot := range h.clusters {
+		n += slot.net.Steps()
 	}
-	return active
+	return n
+}
+
+// Tick steps the cluster networks and then the global layers, with the
+// same wake contract as Network.Tick. An idle hierarchy is power-gated
+// whole: nothing is stepped, so an armed fault injector cannot fire
+// spurious pulses into global lines no core is using.
+//
+//glvet:cyclepath
+func (h *Hierarchical) Tick(cycle uint64) uint64 {
+	h.gate.resume(cycle)
+	if !h.Busy() {
+		return engine.Never
+	}
+	h.currentCycle = cycle
+	active, quiet := false, true
+	for _, slot := range h.clusters {
+		if !slot.net.Busy() {
+			continue
+		}
+		quiet = slot.net.step(cycle) && quiet
+		active = active || slot.net.Busy()
+	}
+	for _, l := range h.layers {
+		h.steps++
+		busy, changed := l.step(cycle)
+		active = active || busy
+		quiet = quiet && !changed
+	}
+	if active {
+		h.gate.cycles++
+	}
+	return h.gate.next(cycle, h.Busy(), quiet && !h.armed)
 }
 
 // clusterComplete registers a cluster's local barrier completion; the
@@ -365,9 +422,11 @@ func (l *globalLayer) clusterComplete(ci int) {
 
 // step advances one context's global layer by one cycle: assert phase,
 // line sampling, observe phase — the same two-phase discipline as the flat
-// controllers.
-func (l *globalLayer) step(cycle uint64) bool {
-	busy := false
+// controllers. It reports whether the layer is busy and whether the step
+// drove a line, counted an arrival or changed state (a relay still
+// waiting out its registered cycle follows a cluster step that changed
+// state, so an unchanged layer is a fixed point, as for a context).
+func (l *globalLayer) step(cycle uint64) (busy, changed bool) {
 	// Assert phase: non-master clusters relay their completion onto the
 	// global arrival line one cycle after it registered.
 	for ci := 1; ci < len(l.complete); ci++ {
@@ -383,6 +442,7 @@ func (l *globalLayer) step(cycle uint64) bool {
 		l.relPending = false
 		busy = true
 	}
+	changed = busy
 	l.gArr.sample(cycle)
 	l.gRel.sample(cycle)
 	if tl := l.h.tl; tl != nil {
@@ -396,7 +456,10 @@ func (l *globalLayer) step(cycle uint64) bool {
 
 	// Observe phase: the global master counts arrivals.
 	if !l.gComplete {
-		l.gCount += l.gArr.Count()
+		if n := l.gArr.Count(); n != 0 {
+			l.gCount += n
+			changed = true
+		}
 		ownDone := !l.active[0] || (l.complete[0] && cycle > l.flagCycle[0])
 		needed := l.nActive
 		if l.active[0] {
@@ -406,6 +469,7 @@ func (l *globalLayer) step(cycle uint64) bool {
 			l.gComplete = true
 			l.relPending = true
 			l.episodes++
+			changed = true
 			if l.h.tl != nil {
 				l.h.tl.Instant(trace.BarrierTrack(l.ctxID), spanGLComplete, cycle, l.episodes, 0)
 			}
@@ -426,14 +490,20 @@ func (l *globalLayer) step(cycle uint64) bool {
 		l.gCount = 0
 		l.gComplete = false
 		l.drove = 0
+		changed = true
 	}
+	return busy || l.busy(), changed
+}
+
+// busy reports whether the layer holds any part of an episode.
+func (l *globalLayer) busy() bool {
 	if l.gComplete || l.gCount > 0 || l.relPending || l.drove != 0 {
-		busy = true
+		return true
 	}
 	for _, c := range l.complete {
 		if c {
-			busy = true
+			return true
 		}
 	}
-	return busy
+	return false
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
@@ -48,8 +49,9 @@ type NetworkConfig struct {
 
 // Network is the flat G-line barrier network of one CMP: the paper's
 // architecture of Figure 1, extended with multiple contexts. It implements
-// engine.Ticker; the simulator registers it so it steps once per cycle
-// while any barrier is in flight.
+// engine.Component: the simulator registers it, and it is stepped every
+// cycle while a barrier makes progress and sleeps while it is idle or
+// waiting for stragglers.
 type Network struct {
 	cfg      NetworkConfig
 	contexts []*context
@@ -57,7 +59,15 @@ type Network struct {
 	schedule func(delay uint64, fn func()) // release deferral hook
 
 	activeCtxs int
-	cycles     uint64 // cycles the network was actively stepped (power gating)
+	gate       powerGate
+	steps      uint64 // context steps run (host work, not simulated time)
+
+	// wake is the engine handle inputs wake the network through; zero
+	// when the caller drives Tick directly. armed is set with a G-line
+	// fault injector, whose lines change without an arrival: the network
+	// then never sleeps with a barrier in flight.
+	wake  engine.Waker
+	armed bool
 
 	// tl, when non-nil, records line pulses and barrier completions as
 	// structured timeline events; probe additionally reports each context
@@ -85,6 +95,11 @@ type context struct {
 	arrivals, episodes uint64
 	lastEpisodeCycle   uint64
 	nowCycle           uint64 // cycle of the step in progress (timeline hooks)
+
+	// quiet records that the context's last step drove no line and
+	// changed no controller state, and no input arrived since: further
+	// steps are no-ops until one does.
+	quiet bool
 
 	// releasedBuf is per-context scratch reused across steps; it must not
 	// be shared between networks, which may step on parallel goroutines.
@@ -259,6 +274,7 @@ func (n *Network) SetInjector(inj *fault.Injector) {
 // free id; the hierarchical network uses it to give every cluster a
 // disjoint id range.
 func (n *Network) setInjectorFrom(inj *fault.Injector, base uint64) uint64 {
+	n.armed = inj.GLActive()
 	id := base
 	seen := map[*Line]bool{}
 	for _, c := range n.contexts {
@@ -321,6 +337,7 @@ func (n *Network) ResetContext(ctxID int) error {
 	if err != nil {
 		return err
 	}
+	n.input(ctx)
 	if ctx.pending > 0 {
 		n.activeCtxs--
 	}
@@ -382,6 +399,13 @@ func (n *Network) TriggerRelease(ctxID int) {
 		panic(fmt.Sprintf("gline: TriggerRelease on context %d with no completed barrier", ctxID))
 	}
 	ctx.mv.relPend = true
+	n.input(ctx)
+}
+
+// input marks a context as having new work and wakes the network.
+func (n *Network) input(ctx *context) {
+	ctx.quiet = false
+	n.wake.Wake()
 }
 
 func (n *Network) ctx(id int) (*context, error) {
@@ -421,6 +445,7 @@ func (n *Network) Arrive(core int, ctxID int) {
 	if ctx.pending == 1 {
 		n.activeCtxs++
 	}
+	n.input(ctx)
 }
 
 // BarRegSet reports whether a core's bar_reg is currently set, for tests.
@@ -466,9 +491,21 @@ func (n *Network) Toggles() uint64 {
 	return t
 }
 
-// ActiveCycles returns how many cycles the network was powered (stepped
-// with work pending) — controllers are switched off otherwise (paper §3.3).
-func (n *Network) ActiveCycles() uint64 { return n.cycles }
+// ActiveCycles returns how many cycles the network was powered (a barrier
+// in flight, whether stepped or asleep waiting for stragglers) — the
+// controllers are switched off otherwise (paper §3.3).
+func (n *Network) ActiveCycles() uint64 { return n.gate.active(n.wake.Now()) }
+
+// SetWaker hands the network the engine handle its inputs (Arrive,
+// TriggerRelease, ResetContext) wake it through.
+func (n *Network) SetWaker(w engine.Waker) { n.wake = w }
+
+// Busy reports whether any context has a barrier in flight.
+func (n *Network) Busy() bool { return n.activeCtxs > 0 }
+
+// Steps returns how many context steps the network has run: host work,
+// which sleeping through quiescent cycles saves.
+func (n *Network) Steps() uint64 { return n.steps }
 
 // LineCount returns the total number of physical G-lines.
 func (n *Network) LineCount() int {
@@ -496,23 +533,38 @@ func (c *context) onEpisode() {
 	}
 }
 
-// Tick steps the network one cycle. Returns whether any barrier is in
-// flight (contexts with no pending arrivals are power-gated).
-func (n *Network) Tick(cycle uint64) bool {
+// Tick steps the network one cycle and returns the next cycle it must be
+// stepped on: the next one while a barrier makes progress (or, with a
+// fault injector armed, while any is in flight), engine.Never while every
+// context is idle or quiescent — an input wakes it then. Contexts with no
+// pending arrivals are power-gated.
+//
+//glvet:cyclepath
+func (n *Network) Tick(cycle uint64) uint64 {
+	n.gate.resume(cycle)
 	if n.activeCtxs == 0 {
-		return false
+		return engine.Never
 	}
-	n.cycles++
+	n.gate.cycles++
+	quiet := n.step(cycle)
+	return n.gate.next(cycle, n.activeCtxs > 0, quiet && !n.armed)
+}
+
+// step advances every context with a barrier in flight one cycle and
+// reports whether all of them are quiet.
+func (n *Network) step(cycle uint64) (quiet bool) {
+	quiet = true
 	for _, ctx := range n.contexts {
 		if ctx.pending == 0 && !ctx.inFlight() {
 			continue
 		}
-		if cycle%uint64(ctx.period) != uint64(ctx.slot) {
-			continue
+		if cycle%uint64(ctx.period) == uint64(ctx.slot) {
+			n.steps++
+			ctx.quiet = ctx.step(cycle)
 		}
-		ctx.step(cycle)
+		quiet = quiet && ctx.quiet
 	}
-	return n.activeCtxs > 0
+	return quiet
 }
 
 // inFlight reports whether any controller holds transient state (release
@@ -535,7 +587,13 @@ func (c *context) inFlight() bool {
 // The sample order (masterV, slavesV, mastersH, slavesH) realizes the
 // registered-flag semantics of the paper: a flag written by MasterH on
 // cycle k is first visible to MasterV on cycle k+1.
-func (c *context) step(cycle uint64) {
+//
+// It reports whether the step was quiescent: no line driven and no master
+// state changed. (A slave only changes state in a step that drives a line:
+// its own arrival assert, or the release pulse it observes.) Without
+// faults, a quiescent step is a fixed point — every further step is the
+// same no-op until an input arrives.
+func (c *context) step(cycle uint64) (quiescent bool) {
 	c.nowCycle = cycle
 	for _, s := range c.slavesH {
 		s.assertPhase()
@@ -548,8 +606,11 @@ func (c *context) step(cycle uint64) {
 	}
 	c.mv.assertPhase()
 
+	drove := false
 	for _, l := range c.lines {
-		l.sample(cycle)
+		if l.sample(cycle) > 0 {
+			drove = true
+		}
 	}
 	if c.net.tl != nil {
 		// One instant per line with assertions this cycle; arg carries the
@@ -563,12 +624,14 @@ func (c *context) step(cycle uint64) {
 
 	released := c.releasedBuf[:0]
 	collect := func(tile int) { released = append(released, tile) }
-	c.mv.samplePhase()
+	changed := c.mv.samplePhase()
 	for _, s := range c.slavesV {
 		s.samplePhase()
 	}
 	for _, m := range c.mastersH {
-		m.samplePhase(collect)
+		if m.samplePhase(collect) {
+			changed = true
+		}
 	}
 	for _, s := range c.slavesH {
 		s.samplePhase(collect)
@@ -596,4 +659,48 @@ func (c *context) step(cycle uint64) {
 		}
 	}
 	c.releasedBuf = released[:0]
+	return !drove && !changed
+}
+
+// powerGate counts a network's active cycles (paper §3.3) across sleeps: a
+// network that goes quiescent with a barrier in flight is no longer
+// stepped, yet every cycle it sleeps through is still an active one.
+type powerGate struct {
+	cycles    uint64
+	asleep    bool
+	sleptFrom uint64
+}
+
+// resume counts the cycles slept through before cycle.
+func (g *powerGate) resume(cycle uint64) {
+	if g.asleep {
+		g.asleep = false
+		if cycle > g.sleptFrom {
+			g.cycles += cycle - g.sleptFrom
+		}
+	}
+}
+
+// next returns the next cycle to step after cycle: Never when nothing is
+// in flight, the next cycle unless quiet, and Never — asleep, with the
+// barrier still in flight — when quiet.
+func (g *powerGate) next(cycle uint64, busy, quiet bool) uint64 {
+	switch {
+	case !busy:
+		return engine.Never
+	case !quiet:
+		return cycle + 1
+	}
+	g.asleep, g.sleptFrom = true, cycle+1
+	return engine.Never
+}
+
+// active returns the active cycles before now, counting a sleep still in
+// progress (now is 0 for a network driven outside an engine).
+func (g *powerGate) active(now uint64) uint64 {
+	c := g.cycles
+	if g.asleep && now > g.sleptFrom {
+		c += now - g.sleptFrom
+	}
+	return c
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 )
@@ -11,14 +12,16 @@ import (
 // network: the simulator-facing surface plus the ability to re-arm a wedged
 // context. Both Network and Hierarchical satisfy it.
 type BarrierNetwork interface {
+	engine.Component
+	SetWaker(w engine.Waker)
 	Arrive(core int, barrierCtx int)
-	Tick(cycle uint64) bool
 	OnRelease(schedule func(delay uint64, fn func()), release func(core int))
 	SetParticipants(ctxID int, cores []int) error
 	Episodes() uint64
 	Toggles() uint64
 	LineCount() int
 	ActiveCycles() uint64
+	Steps() uint64
 	ResetContext(ctxID int) error
 	Contexts() int
 }
@@ -81,6 +84,7 @@ type Recovering struct {
 	inner BarrierNetwork
 	rec   fault.Recovery
 	now   func() uint64
+	wake  engine.Waker
 
 	schedule func(delay uint64, fn func())
 	release  func(core int)
@@ -231,11 +235,18 @@ func (r *Recovering) admit(ctxID int, g *guardCtx, core int) {
 		case g.needReset:
 			// The hardware lost a release mid-episode; don't wait for a
 			// timeout that cannot succeed.
-			g.deadline = now
+			r.arm(g, now)
 		default:
-			g.deadline = now + r.timeout(g.retries)
+			r.arm(g, now+r.timeout(g.retries))
 		}
 	}
+}
+
+// arm sets the episode deadline and wakes the guard, whose tick on the
+// deadline cycle starts recovery.
+func (r *Recovering) arm(g *guardCtx, deadline uint64) {
+	g.deadline = deadline
+	r.wake.Wake()
 }
 
 // timeout returns the episode deadline for the given retry count, with
@@ -267,29 +278,51 @@ func (r *Recovering) onInnerRelease(core int) {
 	}
 }
 
-// Tick steps the inner network, then checks episode deadlines. The guard
-// reports itself busy while any episode is open so the engine keeps the
-// clock running toward the deadline of a wedged barrier.
-func (r *Recovering) Tick(cycle uint64) bool {
-	active := r.inner.Tick(cycle)
-	busy := false
-	for ctxID, g := range r.ctxs {
+// SetWaker hands the guard and the hardware beneath it the engine handle.
+func (r *Recovering) SetWaker(w engine.Waker) {
+	r.wake = w
+	r.inner.SetWaker(w)
+}
+
+// Busy reports whether the hardware has a barrier in flight or any
+// episode is open: the engine keeps the clock running toward the deadline
+// of a wedged barrier.
+func (r *Recovering) Busy() bool {
+	if r.inner.Busy() {
+		return true
+	}
+	for _, g := range r.ctxs {
 		if g.nArrived > 0 {
-			busy = true
-		}
-		if g.deadline != 0 && cycle >= g.deadline && !g.recovering {
-			g.recovering = true
-			ctxID, g := ctxID, g
-			// Recovery runs as an engine event: it keeps the decision out
-			// of the tick phase and resets the stall watchdog, which would
-			// otherwise accumulate across back-to-back retry waits.
-			r.schedule(1, func() {
-				g.recovering = false
-				r.recover(ctxID, g)
-			})
+			return true
 		}
 	}
-	return active || busy
+	return false
+}
+
+// Tick steps the inner network, then checks episode deadlines. It returns
+// the earlier of the inner network's next cycle and the next armed
+// deadline.
+func (r *Recovering) Tick(cycle uint64) uint64 {
+	next := r.inner.Tick(cycle)
+	for ctxID, g := range r.ctxs {
+		if g.deadline == 0 || g.recovering {
+			continue
+		}
+		if cycle < g.deadline {
+			next = min(next, g.deadline)
+			continue
+		}
+		g.recovering = true
+		ctxID, g := ctxID, g
+		// Recovery runs as an engine event: it keeps the decision out of
+		// the tick phase and resets the stall watchdog, which would
+		// otherwise accumulate across back-to-back retry waits.
+		r.schedule(1, func() {
+			g.recovering = false
+			r.recover(ctxID, g)
+		})
+	}
+	return next
 }
 
 // recover handles an expired episode deadline.
@@ -315,7 +348,7 @@ func (r *Recovering) recover(ctxID int, g *guardCtx) {
 	for _, core := range r.outstanding(g) {
 		r.inner.Arrive(core, ctxID)
 	}
-	g.deadline = r.now() + r.timeout(g.retries)
+	r.arm(g, r.now()+r.timeout(g.retries))
 }
 
 // fallbackComplete finishes the current episode on the software path:
@@ -475,6 +508,9 @@ func (r *Recovering) LineCount() int { return r.inner.LineCount() }
 
 // ActiveCycles delegates to the hardware.
 func (r *Recovering) ActiveCycles() uint64 { return r.inner.ActiveCycles() }
+
+// Steps delegates to the hardware.
+func (r *Recovering) Steps() uint64 { return r.inner.Steps() }
 
 // Unwrap exposes the guarded hardware network, so observability wiring
 // (timeline attachment, episode probes) can reach the concrete Network or

@@ -6,6 +6,12 @@
 // a whole-system run is a pure function of its inputs: events due on the
 // same cycle execute in the exact order they were scheduled.
 //
+// Clocked components (the mesh NoC, the G-line networks) are not polled:
+// each tells the engine the next cycle it has work on, inputs wake it for
+// the current cycle, and Run fast-forwards over every cycle on which no
+// event is due and no component is (DESIGN.md §10, "Activity-driven
+// stepping").
+//
 // The queue is built for zero steady-state allocation (DESIGN.md §10):
 // events live in a slab recycled through an intrusive free list, the
 // priority queue is a 4-ary min-heap of small (cycle, seq, slot) keys that
@@ -61,27 +67,76 @@ type EventID struct {
 	seq uint64
 }
 
-// Ticker is a component that must be stepped every cycle while it is active
-// (e.g. a network router or a G-line controller). A Ticker reports whether
-// it still has work; idle tickers let the engine fast-forward to the next
-// scheduled event.
-type Ticker interface {
-	// Tick advances the component by one cycle and reports whether the
-	// component remains active (has buffered or in-flight work).
-	Tick(cycle uint64) (active bool)
+// Never is the wake cycle of a component with nothing scheduled: it is
+// ticked again only when an input wakes it.
+const Never = ^uint64(0)
+
+// Component is a clocked part of the simulated system (the mesh NoC, a
+// G-line network) that the engine ticks only on cycles it has work on.
+type Component interface {
+	// Tick steps the component through cycle and returns the next cycle
+	// it has work on by itself, or Never. A tick on a cycle the component
+	// did not ask for must behave like any other step, so callers may
+	// also drive a component directly, one Tick per cycle.
+	Tick(cycle uint64) (next uint64)
+	// Busy reports whether the component holds work in flight (a packet
+	// on the mesh, a barrier waiting for arrivals), including while it
+	// sleeps until an input. Run's stop and stall rules read it, and
+	// while no component is busy Run ignores their wakes.
+	Busy() bool
+}
+
+// Waker is a registered component's handle on its engine. An input that
+// gives a component work calls Wake, so the component is ticked on the
+// current cycle. The zero Waker belongs to a component driven directly by
+// its caller and ignores wakes.
+type Waker struct {
+	e  *Engine
+	id int
+}
+
+// Wake schedules the component for a tick on the current cycle, or on the
+// next one when its tick for this cycle has already run.
+//
+//glvet:cyclepath
+func (w Waker) Wake() {
+	e := w.e
+	if e == nil {
+		return
+	}
+	if e.due[w.id] > e.now {
+		e.due[w.id] = e.now
+	}
+	if e.nextDue > e.now {
+		e.nextDue = e.now
+	}
+}
+
+// Now returns the engine's current cycle (0 for the zero Waker).
+func (w Waker) Now() uint64 {
+	if w.e == nil {
+		return 0
+	}
+	return w.e.now
 }
 
 // Engine is the deterministic simulation core.
 type Engine struct {
-	now     uint64
-	seq     uint64
-	slab    []event
-	free    int32 // head of the slot free list, -1 when empty
-	heap    []heapEntry
-	live    int // scheduled events not yet dispatched or cancelled
-	tickers []Ticker
+	now  uint64
+	seq  uint64
+	slab []event
+	free int32 // head of the slot free list, -1 when empty
+	heap []heapEntry
+	live int // scheduled events not yet dispatched or cancelled
 
-	// StallLimit arms the hang watchdog: if tickers stay active but no
+	// comps are the registered components in tick order; due[i] is the
+	// cycle comps[i] is next ticked on (Never while it sleeps), and
+	// nextDue the minimum over due.
+	comps   []Component
+	due     []uint64
+	nextDue uint64
+
+	// StallLimit arms the hang watchdog: if components stay busy but no
 	// event executes for this many consecutive cycles, Run aborts with a
 	// stall error instead of burning the whole cycle budget. 0 disables.
 	StallLimit uint64
@@ -91,6 +146,7 @@ type Engine struct {
 	peakQueue *metrics.Gauge
 	ffJumps   *metrics.Counter
 	ffCycles  *metrics.Counter
+	ticks     *metrics.Counter
 
 	// tl, when set, records fast-forward jumps as timeline instants.
 	tl *trace.Timeline
@@ -102,15 +158,17 @@ const (
 	metricQueueDepth       = "engine.queue.depth"
 	metricFastforwardJumps = "engine.fastforward.jumps"
 	metricFastforwardCycs  = "engine.fastforward.cycles"
+	metricTicks            = "engine.ticks"
 )
 
 // New returns an Engine at cycle 0 with an empty event queue.
 func New() *Engine {
-	e := &Engine{reg: metrics.NewRegistry(), free: -1, seq: 1}
+	e := &Engine{reg: metrics.NewRegistry(), free: -1, seq: 1, nextDue: Never}
 	e.executed = e.reg.Counter(metricEventsExecuted)
 	e.peakQueue = e.reg.Gauge(metricQueueDepth)
 	e.ffJumps = e.reg.Counter(metricFastforwardJumps)
 	e.ffCycles = e.reg.Counter(metricFastforwardCycs)
+	e.ticks = e.reg.Counter(metricTicks)
 	return e
 }
 
@@ -118,7 +176,7 @@ func New() *Engine {
 func (e *Engine) SetTimeline(tl *trace.Timeline) { e.tl = tl }
 
 // Metrics returns the engine's metric registry (event counts, queue depth,
-// fast-forward statistics).
+// fast-forward statistics, component ticks).
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // Now returns the current cycle.
@@ -198,9 +256,14 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// AddTicker registers a per-cycle component. Tickers run after all events
-// due on a cycle, in registration order.
-func (e *Engine) AddTicker(t Ticker) { e.tickers = append(e.tickers, t) }
+// AddComponent registers c and returns the Waker its inputs call. A
+// component sleeps until its first wake; on any cycle, components due then
+// are ticked after the cycle's events, in registration order.
+func (e *Engine) AddComponent(c Component) Waker {
+	e.comps = append(e.comps, c)
+	e.due = append(e.due, Never)
+	return Waker{e: e, id: len(e.comps) - 1}
+}
 
 // Pending reports the number of scheduled events (cancelled ones excluded).
 func (e *Engine) Pending() int { return e.live }
@@ -301,15 +364,25 @@ func (e *Engine) pop() int32 {
 
 // Step advances the simulation by exactly one cycle: it runs every event due
 // at the current cycle (including events those events schedule for the same
-// cycle), then ticks all registered tickers, then advances the clock.
-// It reports whether any ticker remains active.
+// cycle), then ticks the components due this cycle, then advances the clock.
+//
+//glvet:cyclepath
+func (e *Engine) Step() {
+	e.dispatch()
+	if e.nextDue <= e.now {
+		e.tick()
+	}
+	e.now++
+}
+
+// dispatch runs the events due at the current cycle.
 //
 // A slot is returned to the free list before its callback runs, so the
 // callback's own scheduling reuses it immediately; ordering is untouched
 // because dispatch order is fixed by the already-assigned (cycle, seq).
 //
 //glvet:cyclepath
-func (e *Engine) Step() (tickersActive bool) {
+func (e *Engine) dispatch() {
 	for len(e.heap) > 0 && e.heap[0].cycle == e.now {
 		idx := e.pop()
 		ev := &e.slab[idx]
@@ -324,55 +397,134 @@ func (e *Engine) Step() (tickersActive bool) {
 		cb(recv, obj, a, b)
 		e.executed.Inc()
 	}
-	for _, t := range e.tickers {
-		if t.Tick(e.now) {
-			tickersActive = true
+}
+
+// tick runs the components due at the current cycle, in registration
+// order, and recomputes nextDue. A component woken during another's tick
+// (or its own) is due now; it is ticked on the next cycle.
+//
+//glvet:cyclepath
+func (e *Engine) tick() {
+	e.nextDue = Never
+	for i, c := range e.comps {
+		if e.due[i] <= e.now {
+			e.due[i] = Never
+			e.ticks.Inc()
+			if next := c.Tick(e.now); next < e.due[i] {
+				e.due[i] = next
+			}
+		}
+		if e.due[i] < e.nextDue {
+			e.nextDue = e.due[i]
 		}
 	}
-	e.now++
-	return tickersActive
+}
+
+// nextWork returns the earliest cycle anything is scheduled for: the heap
+// root (live or cancelled — Step only drains the root's own cycle, so no
+// jump may pass it) or the next component wake (possibly stale: a
+// component ticked on a cycle it no longer needs does a no-op step).
+// Never when neither exists.
+func (e *Engine) nextWork() uint64 {
+	next := e.nextDue
+	if len(e.heap) > 0 && e.heap[0].cycle < next {
+		next = e.heap[0].cycle
+	}
+	return next
+}
+
+// busy reports whether any component holds work in flight.
+func (e *Engine) busy() bool {
+	for _, c := range e.comps {
+		if c.Busy() {
+			return true
+		}
+	}
+	return false
+}
+
+// jump fast-forwards the clock to cycle to.
+func (e *Engine) jump(to uint64) {
+	e.ffJumps.Inc()
+	e.ffCycles.Add(to - e.now)
+	e.tl.Instant(trace.EngineTrack(), spanEngineFF, e.now, 0, to-e.now)
+	e.now = to
 }
 
 // Run drives the simulation until done() reports true or no work remains or
-// maxCycles elapses. It fast-forwards over cycles where all tickers are idle
-// and no events are due. It returns the cycle at which it stopped and an
-// error if the cycle budget was exhausted with work still pending, or — when
-// StallLimit is set — if tickers stayed active without a single event
-// executing for StallLimit consecutive cycles (a livelocked spin).
+// maxCycles elapses, stepping only cycles on which an event or a component
+// is due and fast-forwarding over the rest. It returns the cycle at which it
+// stopped and an error if the cycle budget was exhausted with work still
+// pending, or — when StallLimit is set — if components stayed busy without
+// a single event executing for StallLimit consecutive cycles (a livelocked
+// spin).
+//
+// Skipped cycles are accounted exactly as if each had been stepped: while
+// a component is busy, Run stops on the cycle after the last program
+// finishes and counts every skipped cycle toward the stall limit; while
+// none is, it jumps straight to the next event, as an idle system would.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
-	var idle uint64 // consecutive active-ticker cycles with no event executed
+	var idle uint64 // consecutive busy cycles with no event executed
 	for e.now < maxCycles {
 		if done() {
 			return e.now, nil
 		}
 		before := e.executed.Value()
-		active := e.Step()
+		e.Step()
+		busy := e.busy()
 		if e.executed.Value() != before {
 			idle = 0
-		} else if active {
+		} else if busy {
 			idle++
 			if e.StallLimit > 0 && idle >= e.StallLimit {
-				return e.now, fmt.Errorf("engine: stall at cycle %d: no event executed for %d cycles with tickers active", e.now, idle)
+				return e.now, e.stallError(idle)
 			}
 		}
-		if !active && e.live > 0 && e.heap[0].cycle > e.now {
+		if !busy {
+			// No component has work in flight, so any wake left is stale
+			// (a disarmed deadline): only events count.
+			if e.live == 0 {
+				if done() {
+					return e.now, nil
+				}
+				return e.now, fmt.Errorf("engine: deadlock at cycle %d: no events, no busy component, simulation not done", e.now)
+			}
 			// Nothing happens until the next event: jump. (The root may be
 			// a cancelled entry at an earlier cycle; the jump then lands on
 			// it, Step discards it, and the next iteration jumps again.)
-			e.ffJumps.Inc()
-			e.ffCycles.Add(e.heap[0].cycle - e.now)
-			e.tl.Instant(trace.EngineTrack(), spanEngineFF, e.now, 0, e.heap[0].cycle-e.now)
-			e.now = e.heap[0].cycle
-		}
-		if !active && e.live == 0 {
-			if done() {
-				return e.now, nil
+			if root := e.heap[0].cycle; root > e.now {
+				e.jump(root)
 			}
-			return e.now, fmt.Errorf("engine: deadlock at cycle %d: no events, idle tickers, simulation not done", e.now)
+			continue
 		}
+		next := e.nextWork()
+		if next <= e.now {
+			continue
+		}
+		// A component is busy but nothing is due before next: every cycle
+		// up to it would step without an event, so finish, stall or jump
+		// exactly where stepping them one by one would have.
+		target := min(next, maxCycles)
+		if target <= e.now {
+			continue
+		}
+		if done() {
+			return e.now, nil
+		}
+		if e.StallLimit > 0 && e.now+(e.StallLimit-idle) <= target {
+			e.jump(e.now + (e.StallLimit - idle))
+			return e.now, e.stallError(e.StallLimit)
+		}
+		idle += target - e.now
+		e.jump(target)
 	}
 	if done() {
 		return e.now, nil
 	}
 	return e.now, fmt.Errorf("engine: cycle budget %d exhausted", maxCycles)
+}
+
+// stallError reports a watchdog stop at the current cycle.
+func (e *Engine) stallError(idle uint64) error {
+	return fmt.Errorf("engine: stall at cycle %d: no event executed for %d cycles with components busy", e.now, idle)
 }

@@ -41,3 +41,32 @@ func TestZeroAllocFlitStep(t *testing.T) {
 		t.Fatal("gate measured no deliveries; traffic never moved")
 	}
 }
+
+// TestZeroAllocWakeRun gates the wake path: the same corner-to-corner
+// traffic driven by Engine.Run, which ticks the mesh only on cycles a
+// router is due (woken by inject and arrive) and fast-forwards the rest,
+// must not allocate either.
+func TestZeroAllocWakeRun(t *testing.T) {
+	eng := engine.New()
+	delivered := 0
+	m := New(eng, 8, 8, 1, 1, func(dst int, p *Packet) { delivered++ })
+	drained := func() bool { return m.InFlight() == 0 }
+	roundTrip := func() {
+		m.Send(0, 63, stats.ClassRequest, 3, nil)
+		m.Send(63, 0, stats.ClassReply, 5, nil)
+		if _, err := eng.Run(eng.Now()+10_000, drained); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		roundTrip()
+	}
+	before := delivered
+	allocs := testing.AllocsPerRun(100, roundTrip)
+	if allocs != 0 {
+		t.Fatalf("wake-path round-trip allocates %.1f objects/op, want 0", allocs)
+	}
+	if delivered == before {
+		t.Fatal("gate measured no deliveries; traffic never moved")
+	}
+}

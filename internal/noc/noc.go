@@ -8,10 +8,17 @@
 // output port stays busy for the packet's full length, so bandwidth
 // contention and hot-spot queueing emerge naturally — the behaviour that
 // makes centralized software barriers collapse in the paper.
+//
+// The mesh is stepped by activity, not polled: it keeps the set of routers
+// holding packets and each one's next-ready cycle, and a tick visits only
+// the routers due that cycle, in ascending node order — the order a full
+// scan would have done their work in — so its cost follows traffic, not
+// mesh size.
 package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/engine"
@@ -99,6 +106,10 @@ type router struct {
 	// txFlits counts flit-cycles of occupancy per output port, for the
 	// link-utilization report.
 	txFlits [numPorts]uint64
+	// held counts the packets queued in the router; readyAt is the
+	// earliest cycle it may have work, meaningful while held > 0.
+	held    int
+	readyAt uint64
 }
 
 // Metric names registered by the mesh. Per-class latency histograms are
@@ -106,15 +117,21 @@ type router struct {
 const (
 	metricLatencyPrefix = "noc.latency."
 	metricQueueDepth    = "noc.queue.depth"
+	metricRouterSteps   = "noc.router.steps"
 )
 
-// Mesh is the 2D-mesh network. It implements engine.Ticker.
+// Mesh is the 2D-mesh network. It implements engine.Component.
 type Mesh struct {
 	cols, rows         int
 	routerLat, linkLat uint64
 	eng                *engine.Engine
+	wake               engine.Waker
 	routers            []router
 	sink               func(dst int, p *Packet)
+
+	// occupied is a bitset over routers with held > 0, scanned in word
+	// order so due routers are visited in ascending node order.
+	occupied []uint64
 
 	nextID    uint64
 	inFlight  int
@@ -128,9 +145,10 @@ type Mesh struct {
 	// reusable.
 	pktFree *Packet
 
-	reg       *metrics.Registry
-	latHist   [stats.NumMsgClasses]*metrics.Histogram
-	queuePeak *metrics.Gauge
+	reg         *metrics.Registry
+	latHist     [stats.NumMsgClasses]*metrics.Histogram
+	queuePeak   *metrics.Gauge
+	routerSteps *metrics.Counter
 
 	// inj, when set, injects link-level faults (transient link-down
 	// windows, flit corruption forcing a retransmission). Nil in
@@ -154,6 +172,7 @@ func New(eng *engine.Engine, cols, rows int, routerLat, linkLat uint64, sink fun
 		linkLat:   linkLat,
 		eng:       eng,
 		routers:   make([]router, cols*rows),
+		occupied:  make([]uint64, (cols*rows+63)/64),
 		sink:      sink,
 		reg:       metrics.NewRegistry(),
 	}
@@ -161,12 +180,13 @@ func New(eng *engine.Engine, cols, rows int, routerLat, linkLat uint64, sink fun
 		m.latHist[c] = m.reg.Histogram(metricLatencyPrefix+strings.ToLower(c.String()), metrics.CycleBuckets())
 	}
 	m.queuePeak = m.reg.Gauge(metricQueueDepth)
-	eng.AddTicker(m)
+	m.routerSteps = m.reg.Counter(metricRouterSteps)
+	m.wake = eng.AddComponent(m)
 	return m
 }
 
-// Metrics returns the mesh's metric registry (per-class latency histograms
-// and router queue depth).
+// Metrics returns the mesh's metric registry (per-class latency histograms,
+// router queue depth and router visits).
 func (m *Mesh) Metrics() *metrics.Registry { return m.reg }
 
 // SetInjector installs a fault injector on the mesh's links.
@@ -221,9 +241,7 @@ func (m *Mesh) inject(p *Packet) {
 	p.InjectedAt = m.eng.Now()
 	m.traffic.Add(p.Class, p.Flits)
 	m.inFlight++
-	r := &m.routers[p.Src]
-	r.in[portLocal].push(entry{p: p, readyAt: m.eng.Now()})
-	m.queuePeak.Set(uint64(r.in[portLocal].n))
+	m.enqueue(p.Src, portLocal, p)
 }
 
 // Traffic returns the accumulated per-class message/flit counters.
@@ -293,79 +311,130 @@ func (m *Mesh) neighbor(node, port int) (next, inPort int) {
 // obj the packet, a the node index.
 func deliverCB(recv, obj any, a, _ uint64) { recv.(*Mesh).deliver(int(a), obj.(*Packet)) }
 
-// arriveCB lands a packet's head flit on a neighbor router's input port:
-// recv is the mesh, obj the packet, a the tile, b the input port.
-func arriveCB(recv, obj any, a, b uint64) { recv.(*Mesh).arrive(int(a), int(b), obj.(*Packet)) }
+// arriveCB lands a packet's head flit on a neighbor router's input port
+// after a link traversal: recv is the mesh, obj the packet, a the tile, b
+// the input port.
+func arriveCB(recv, obj any, a, b uint64) { recv.(*Mesh).enqueue(int(a), int(b), obj.(*Packet)) }
 
-// Tick advances the mesh one cycle: a routing stage moving at most one
-// packet per input port into an output queue, then a transmission stage
-// starting at most one packet per free output port.
+// Busy reports whether any packet is injected and not yet delivered.
+func (m *Mesh) Busy() bool { return m.inFlight > 0 }
+
+// Tick advances the mesh one cycle: every router due this cycle runs a
+// routing stage moving at most one packet per input port into an output
+// queue, then a transmission stage starting at most one packet per free
+// output port. It returns the earliest next-ready cycle of any router
+// holding packets, or engine.Never.
 //
 //glvet:cyclepath
-func (m *Mesh) Tick(cycle uint64) bool {
-	if m.inFlight == 0 {
-		return false
-	}
-	for node := range m.routers {
-		r := &m.routers[node]
-		for port := 0; port < numPorts; port++ {
-			q := &r.in[port]
-			if q.n == 0 || q.front().readyAt > cycle {
-				continue
+func (m *Mesh) Tick(cycle uint64) uint64 {
+	next := engine.Never
+	for w, word := range m.occupied {
+		for word != 0 {
+			node := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			r := &m.routers[node]
+			if r.readyAt <= cycle {
+				m.routerSteps.Inc()
+				m.step(node, r, cycle)
+				if r.held == 0 {
+					m.occupied[w] &^= 1 << (node & 63)
+					continue
+				}
 			}
-			e := *q.front()
-			q.pop()
-			outPort := m.route(node, e.p.Dst)
-			r.out[outPort].push(entry{p: e.p, readyAt: cycle + m.routerLat})
-			m.queuePeak.Set(uint64(r.out[outPort].n))
-		}
-		for port := 0; port < numPorts; port++ {
-			q := &r.out[port]
-			if q.n == 0 || q.front().readyAt > cycle || r.busyUntil[port] > cycle {
-				continue
+			if r.readyAt < next {
+				next = r.readyAt
 			}
-			if port != portLocal && m.inj.LinkDown(cycle, node, port) {
-				// Transient outage: the port cannot start a transmission
-				// this cycle; the packet retries on the next one.
-				continue
-			}
-			e := *q.front()
-			q.pop()
-			flits := uint64(e.p.Flits)
-			if port == portLocal {
-				r.busyUntil[port] = cycle + flits
-				r.txFlits[port] += flits
-				m.tl.Span(trace.RouterTrack(node, port), spanNocTx, cycle, cycle+flits, 0, flits)
-				// Ejection: the packet fully drains into the node.
-				m.eng.Call(cycle+flits, deliverCB, m, e.p, uint64(node), 0)
-				continue
-			}
-			// Corruption caught by the link-level CRC costs one full
-			// retransmission of the packet on this link.
-			var extra uint64
-			if m.inj.Corrupt(cycle, node, port) {
-				extra = flits
-			}
-			r.busyUntil[port] = cycle + flits + extra
-			r.txFlits[port] += flits + extra
-			m.tl.Span(trace.RouterTrack(node, port), spanNocTx, cycle, cycle+flits+extra, 0, flits)
-			next, inPort := m.neighbor(node, port)
-			// Cut-through: the head flit reaches the neighbor after one
-			// flit time plus the wire delay; the tail follows while the
-			// downstream router already routes the head.
-			m.eng.Call(cycle+1+m.linkLat+extra, arriveCB, m, e.p, uint64(next), uint64(inPort))
 		}
 	}
-	return true
+	return next
 }
 
-// arrive lands a packet on node's input port after a link traversal.
+// step runs one router's cycle and recomputes its next-ready cycle.
 //
 //glvet:cyclepath
-func (m *Mesh) arrive(node, inPort int, p *Packet) {
+func (m *Mesh) step(node int, r *router, cycle uint64) {
+	for port := 0; port < numPorts; port++ {
+		q := &r.in[port]
+		if q.n == 0 || q.front().readyAt > cycle {
+			continue
+		}
+		e := *q.front()
+		q.pop()
+		outPort := m.route(node, e.p.Dst)
+		r.out[outPort].push(entry{p: e.p, readyAt: cycle + m.routerLat})
+		m.queuePeak.Set(uint64(r.out[outPort].n))
+	}
+	for port := 0; port < numPorts; port++ {
+		q := &r.out[port]
+		if q.n == 0 || q.front().readyAt > cycle || r.busyUntil[port] > cycle {
+			continue
+		}
+		if port != portLocal && m.inj.LinkDown(cycle, node, port) {
+			// Transient outage: the port cannot start a transmission
+			// this cycle; the packet retries on the next one.
+			continue
+		}
+		e := *q.front()
+		q.pop()
+		r.held--
+		flits := uint64(e.p.Flits)
+		if port == portLocal {
+			r.busyUntil[port] = cycle + flits
+			r.txFlits[port] += flits
+			m.tl.Span(trace.RouterTrack(node, port), spanNocTx, cycle, cycle+flits, 0, flits)
+			// Ejection: the packet fully drains into the node.
+			m.eng.Call(cycle+flits, deliverCB, m, e.p, uint64(node), 0)
+			continue
+		}
+		// Corruption caught by the link-level CRC costs one full
+		// retransmission of the packet on this link.
+		var extra uint64
+		if m.inj.Corrupt(cycle, node, port) {
+			extra = flits
+		}
+		r.busyUntil[port] = cycle + flits + extra
+		r.txFlits[port] += flits + extra
+		m.tl.Span(trace.RouterTrack(node, port), spanNocTx, cycle, cycle+flits+extra, 0, flits)
+		next, inPort := m.neighbor(node, port)
+		// Cut-through: the head flit reaches the neighbor after one
+		// flit time plus the wire delay; the tail follows while the
+		// downstream router already routes the head.
+		m.eng.Call(cycle+1+m.linkLat+extra, arriveCB, m, e.p, uint64(next), uint64(inPort))
+	}
+	// The router is next ready when an input head may be routed or an
+	// output head may start: the earlier of the input heads' readyAt and
+	// the output heads' max(readyAt, busyUntil). A head already ready —
+	// a second packet behind one moved this cycle, or a port held by a
+	// link-down — retries on the next cycle.
+	ready := engine.Never
+	for port := 0; port < numPorts; port++ {
+		if q := &r.in[port]; q.n > 0 && q.front().readyAt < ready {
+			ready = q.front().readyAt
+		}
+		if q := &r.out[port]; q.n > 0 {
+			if at := max(q.front().readyAt, r.busyUntil[port]); at < ready {
+				ready = at
+			}
+		}
+	}
+	r.readyAt = max(ready, cycle+1)
+}
+
+// enqueue queues p on node's input port, ready this cycle — an injection
+// or a link arrival — and wakes the mesh so the router is visited on it.
+//
+//glvet:cyclepath
+func (m *Mesh) enqueue(node, inPort int, p *Packet) {
+	now := m.eng.Now()
 	r := &m.routers[node]
-	r.in[inPort].push(entry{p: p, readyAt: m.eng.Now()})
+	r.in[inPort].push(entry{p: p, readyAt: now})
 	m.queuePeak.Set(uint64(r.in[inPort].n))
+	if r.held == 0 || now < r.readyAt {
+		r.readyAt = now
+	}
+	r.held++
+	m.occupied[node>>6] |= 1 << (node & 63)
+	m.wake.Wake()
 }
 
 //glvet:cyclepath

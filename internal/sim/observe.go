@@ -12,9 +12,9 @@ import (
 )
 
 // DefaultStallLimit is the engine watchdog default installed by New: abort
-// when tickers stay active but no event executes for this many consecutive
-// cycles. It must exceed any legitimate event-free active-ticker stretch —
-// a G-line context stays "active" from the first arrival until the release,
+// when components stay busy but no event executes for this many consecutive
+// cycles. It must exceed any legitimate event-free busy stretch —
+// a G-line context stays busy from the first arrival until the release,
 // which spans the longest compute phase of any participant — so the limit
 // is set far above the workloads' phase lengths while still cutting a real
 // livelock ~1000x earlier than the 4G-cycle default budget.
@@ -37,6 +37,9 @@ const (
 	metricGLSkew    = "barrier.gl.skew"
 	metricSWLatency = "barrier.sw.latency"
 	metricSWSkew    = "barrier.sw.skew"
+	// metricGLSteps counts G-line context steps (core.Network.Steps): host
+	// work, not simulated time.
+	metricGLSteps = "gl.steps"
 )
 
 // BarrierObserver sees every core-visible G-line barrier event: arrivals as

@@ -26,16 +26,19 @@ import (
 const heapBase = 0x1000_0000
 
 // GLNetwork is the interface both the flat and the hierarchical G-line
-// networks satisfy.
+// networks satisfy. The system registers it with the engine as a
+// component and hands it the resulting Waker.
 type GLNetwork interface {
+	engine.Component
+	SetWaker(w engine.Waker)
 	Arrive(core int, barrierCtx int)
-	Tick(cycle uint64) bool
 	OnRelease(schedule func(delay uint64, fn func()), release func(core int))
 	SetParticipants(ctxID int, cores []int) error
 	Episodes() uint64
 	Toggles() uint64
 	LineCount() int
 	ActiveCycles() uint64
+	Steps() uint64
 }
 
 // System is one simulated CMP instance. Build it with New, install
@@ -60,6 +63,7 @@ type System struct {
 	Metrics *metrics.Registry
 
 	glm      *glMeter
+	glSteps  *metrics.Counter // host work: G-line context steps
 	ring     *trace.Ring
 	inj      *fault.Injector
 	launched int
@@ -109,6 +113,7 @@ func New(cfg config.Config) (*System, error) {
 		Metrics: metrics.NewRegistry(),
 		inj:     inj,
 	}
+	s.glSteps = s.Metrics.Counter(metricGLSteps)
 	if inj != nil {
 		inj.Bind(s.Metrics)
 		if gl != nil {
@@ -131,7 +136,7 @@ func New(cfg config.Config) (*System, error) {
 	}
 	if gl != nil {
 		gl.OnRelease(eng.After, s.glm.release)
-		eng.AddTicker(gl)
+		gl.SetWaker(eng.AddComponent(gl))
 	}
 	return s, nil
 }
@@ -207,7 +212,7 @@ func (s *System) ReplaceGL(gl GLNetwork) {
 		s.glm.gl = gl
 	}
 	gl.OnRelease(s.Eng.After, s.glm.release)
-	s.Eng.AddTicker(gl)
+	gl.SetWaker(s.Eng.AddComponent(gl))
 	for _, c := range s.Cores {
 		c.SetBarrierEngine(s.glm)
 	}
@@ -386,6 +391,10 @@ func (s *System) report(endCycle uint64) *Report {
 		r.BarrierPeriod = float64(r.Cycles) / float64(r.BarrierEpisodes)
 	}
 	r.Energy = energy.New(r.FlitHops, r.GLToggles)
+	if s.GL != nil {
+		// The network counts its own steps; bring the counter up to date.
+		s.glSteps.Add(s.GL.Steps() - s.glSteps.Value())
+	}
 	r.Metrics = s.Metrics.Snapshot().
 		Plus(s.Eng.Metrics().Snapshot()).
 		Plus(s.Prot.Metrics().Snapshot()).

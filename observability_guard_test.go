@@ -88,3 +88,48 @@ func TestObservabilityDoesNotChangeFingerprints(t *testing.T) {
 		}
 	}
 }
+
+// hostWorkCounters are the per-layer host-work counters a report carries
+// outside the fingerprint: component ticks the engine ran, router visits
+// the mesh made, and G-line context steps.
+var hostWorkCounters = []string{"engine.ticks", "noc.router.steps", "gl.steps"}
+
+// TestHostWorkCountersRepeat pins the host-work counters as deterministic:
+// two fresh runs of a cell report them identically, so a change in host
+// work shows up bit for bit. Each counter must also be live on a cell that
+// exercises its layer, and the mesh cannot visit more routers than a full
+// scan of every stepped cycle would.
+func TestHostWorkCountersRepeat(t *testing.T) {
+	cells := []goldenCell{
+		{key: "KERN2/DSW", w: workload.TestKernel2(), kind: DSW},
+		{key: "SYNTH/GL", w: workload.TestSynthetic(), kind: GL},
+	}
+	for _, c := range cells {
+		c := c
+		t.Run(c.key, func(t *testing.T) {
+			var runs [2]*Report
+			for i := range runs {
+				rep, err := runFresh(goldenCores, c.w, c.kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = rep
+			}
+			for _, name := range hostWorkCounters {
+				a, b := runs[0].Metrics.Counters[name], runs[1].Metrics.Counters[name]
+				if a != b {
+					t.Errorf("%s differs between identical runs: %d vs %d", name, a, b)
+				}
+			}
+			ctr := runs[0].Metrics.Counters
+			live := map[BarrierKind]string{DSW: "noc.router.steps", GL: "gl.steps"}[c.kind]
+			if ctr["engine.ticks"] == 0 || ctr[live] == 0 {
+				t.Errorf("engine.ticks = %d, %s = %d; want both > 0", ctr["engine.ticks"], live, ctr[live])
+			}
+			stepped := runs[0].Cycles - ctr["engine.fastforward.cycles"]
+			if scan := stepped * goldenCores; ctr["noc.router.steps"] > scan {
+				t.Errorf("noc.router.steps = %d exceeds a full scan of %d stepped cycles (%d)", ctr["noc.router.steps"], stepped, scan)
+			}
+		})
+	}
+}

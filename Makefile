@@ -54,10 +54,13 @@ serve-smoke:
 serve-chaos-smoke:
 	go test -race -count=1 ./internal/hostchaos/
 
-# Ten-second fuzz smoke over the fault-plan parser: catches grammar
-# regressions without a dedicated fuzzing job.
+# Ten-second fuzz smoke per target — the fault-plan parser, the cache model
+# and the G-line barrier schedule: catches regressions without a dedicated
+# fuzzing job.
 fuzz-smoke:
 	go test -fuzz=FuzzParsePlan -fuzztime=10s -run '^$$' ./internal/fault
+	go test -fuzz=FuzzCacheOperations -fuzztime=10s -run '^$$' ./internal/cache
+	go test -fuzz=FuzzBarrierSchedule -fuzztime=10s -run '^$$' ./internal/core
 
 # Chaos smoke: replay the minimized-reproducer corpus (pinned oracle
 # verdicts), then explore a small fixed-seed campaign under every protocol
@@ -82,8 +85,10 @@ bench:
 
 # Machine-readable benchmark snapshot: BENCH_<date>.json carries the git
 # SHA and UTC timestamp the numbers were taken at plus one entry per
-# benchmark result, for diffing runs over time. The bench run lands in a
-# temp file first so a failing `go test -bench` propagates its exit code
+# benchmark result, for diffing runs over time. The run is pinned to
+# -cpu 1, so benchmark names carry no -N GOMAXPROCS suffix and snapshots
+# from hosts with different CPU counts pair by name. The bench run lands in
+# a temp file first so a failing `go test -bench` propagates its exit code
 # instead of leaving a truncated JSON behind. Values are located by their
 # unit token (ns/op, B/op, allocs/op) rather than by column, so benchmarks
 # with extra b.ReportMetric columns parse correctly. When an older
@@ -93,7 +98,7 @@ bench:
 # fails when any benchmark's ns/op regressed by more than that percentage.
 bench-json:
 	@tmp=$$(mktemp); \
-	if ! go test -bench=. -benchmem -run '^$$' ./... >"$$tmp" 2>&1; then \
+	if ! go test -bench=. -benchmem -cpu 1 -run '^$$' ./... >"$$tmp" 2>&1; then \
 		cat "$$tmp"; rm -f "$$tmp"; \
 		echo "bench-json: benchmark run failed; no JSON written" >&2; exit 1; \
 	fi; \

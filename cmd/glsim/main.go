@@ -41,7 +41,7 @@ func main() {
 	threads := flag.Int("threads", 0, "threads (default: all cores)")
 	tierName := flag.String("tier", "scaled", "input scale: test, scaled, repro or paper")
 	maxCycles := flag.Uint64("max-cycles", 4_000_000_000, "simulation cycle budget")
-	traceN := flag.Int("trace", 0, "dump the last N coherence-protocol events after the run")
+	traceN := flag.Int("trace", 0, "print the last N span-timeline events after the run")
 	heatmap := flag.Bool("heatmap", false, "print the per-tile link-utilization heatmap")
 	jsonPath := flag.String("json", "", "write the full report as JSON to this file ('-' for stdout)")
 	traceOut := flag.String("trace-out", "", "write the span timeline as Chrome trace-event JSON to this file (load at ui.perfetto.dev)")
@@ -82,20 +82,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A trace ring is always attached so the hang watchdog has protocol
-	// history to dump; tracing is lazy, so an unread ring costs almost
-	// nothing. -trace N sizes it explicitly and prints it after the run.
-	ringCap := *traceN
-	if ringCap < 256 {
-		ringCap = 256
-	}
-	ring := sys.AttachRing(ringCap)
+	// -trace-out and -trace share one timeline; the hang dump carries its
+	// tail too. -trace alone keeps only the N events it prints.
 	var tl *trace.Timeline
-	if *traceOut != "" {
+	switch {
+	case *traceOut != "":
 		tl = sys.AttachTimeline(1 << 20)
+	case *traceN > 0:
+		tl = sys.AttachTimeline(*traceN)
 	}
 	rep, err := workload.Run(sys, bench, kind, *threads, *maxCycles)
-	if tl != nil {
+	if *traceOut != "" {
 		// Write the timeline even when the run failed: a hang's trace is
 		// exactly when you want to open Perfetto.
 		if terr := writeTrace(*traceOut, tl, bench.Name(), string(kind), *cores); terr != nil {
@@ -103,9 +100,10 @@ func main() {
 		}
 	}
 	if *traceN > 0 {
-		fmt.Fprintf(os.Stderr, "--- last %d protocol events ---\n", ring.Len())
-		if derr := ring.Dump(os.Stderr); derr != nil {
-			fatal(derr)
+		tail := tl.Tail(*traceN)
+		fmt.Fprintf(os.Stderr, "--- last %d timeline events ---\n", len(tail))
+		for _, e := range tail {
+			fmt.Fprintln(os.Stderr, e)
 		}
 	}
 	if rep != nil && *jsonPath != "" {

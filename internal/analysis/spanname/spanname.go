@@ -1,6 +1,6 @@
 // Package spanname implements the glvet analyzer for timeline hygiene.
-// Every span or instant emitted on a trace.Timeline (Span, Instant, Begin)
-// must name itself through a package-level const matching
+// Every span or instant emitted on a trace.Timeline (Span, Instant) must
+// name itself through a package-level const matching
 //
 //	^[a-z][a-z0-9._]*$
 //
@@ -41,14 +41,14 @@ const tracePkgSuffix = "internal/trace"
 
 // emitMethods are the Timeline methods whose second argument is a span
 // name.
-var emitMethods = map[string]bool{"Span": true, "Instant": true, "Begin": true}
+var emitMethods = map[string]bool{"Span": true, "Instant": true}
 
 func run(pass *analysis.Pass) error {
 	for _, pkg := range pass.Packages {
 		if strings.HasSuffix(pkg.Path, tracePkgSuffix) {
-			// The timeline package's own forwarding (Instant and End
-			// delegate to Span with their name parameter) defines the API;
-			// it mints no names.
+			// The timeline package's own forwarding (Instant delegates to
+			// Span with its name parameter) defines the API; it mints no
+			// names.
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -58,7 +58,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkFile finds Timeline.{Span,Instant,Begin} calls and validates their
+// checkFile finds Timeline.{Span,Instant} calls and validates their
 // name argument.
 func checkFile(pass *analysis.Pass, pkg *analysis.Package, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -1,6 +1,6 @@
 // Package spannametest is the spanname analyzer fixture. It imports the
-// real timeline package; every Timeline emit call (Span, Instant, Begin)
-// is a subject.
+// real timeline package; every Timeline emit call (Span, Instant) is a
+// subject.
 package spannametest
 
 import "repro/internal/trace"
@@ -19,8 +19,7 @@ func emit(tl *trace.Timeline, kinds []string, i int) {
 	tl.Span(tr, badShape, 10, 20, 1, 0)        // want `span name "Fixture-Span" does not match`
 	tl.Instant(tr, "fixture.inline", 10, 1, 0) // want `must be \(or start with\) a package-level const`
 	const local = "fixture.local"
-	s := tl.Begin(tr, local, 10, 1, 0) // want `must be declared at package level`
-	tl.End(s, 20)
+	tl.Instant(tr, local, 10, 1, 0) // want `must be declared at package level`
 	for _, k := range kinds {
 		tl.Span(tr, prefixFam+k, 10, 20, 1, 0)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 )
 
 // dirState is the directory's view of a line.
@@ -90,7 +91,6 @@ type Bank struct {
 	tile int
 	l2   *cache.Cache
 	dir  map[uint64]*dirEntry
-	src  string // precomputed trace source label ("bank.7")
 
 	busyUntil uint64
 }
@@ -101,7 +101,6 @@ func newBank(p *Protocol, tile int) *Bank {
 		tile: tile,
 		l2:   cache.New(p.cfg.L2SizePerCore, p.cfg.L2Ways, p.cfg.LineSize),
 		dir:  make(map[uint64]*dirEntry),
-		src:  fmt.Sprintf("bank.%d", tile),
 	}
 }
 
@@ -192,10 +191,7 @@ func (b *Bank) schedule(m *msg) {
 //glvet:cyclepath
 func (b *Bank) process(m *msg) {
 	e := b.entry(m.addr)
-	if b.p.traceOn {
-		//lint:allow allocfree trace emission is opt-in debugging
-		b.p.tracer.Emit(b.p.eng.Now(), b.src, "%v %#x from %d (dir=%v sharers=%b)", m.t, m.addr, m.from, e.state, e.sharers)
-	}
+	b.p.tl.Instant(trace.CoreTrack(b.tile), spanCohDirReq, b.p.eng.Now(), 0, m.addr)
 	t, addr, from := m.t, m.addr, m.from
 	kind, operand := m.kind, m.operand
 	b.p.freeMsg(m)
@@ -501,10 +497,7 @@ func (b *Bank) withData(addr uint64, e *dirEntry, k contKind) {
 //
 //glvet:cyclepath
 func (b *Bank) grant(e *dirEntry, to int, addr uint64, g grantState, flits int) {
-	if b.p.traceOn {
-		//lint:allow allocfree trace emission is opt-in debugging
-		b.p.tracer.Emit(b.p.eng.Now(), b.src, "grant %#x to %d (%d flits)", addr, to, flits)
-	}
+	b.p.tl.Instant(trace.CoreTrack(b.tile), spanCohGrant, b.p.eng.Now(), 0, addr)
 	e.awaitUnblock = true
 	gm := b.p.newMsg(msgData, addr, b.tile)
 	gm.grant = g

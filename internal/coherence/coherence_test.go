@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 type cohHarness struct {
@@ -60,6 +61,39 @@ func (h *cohHarness) addrFor(home int) uint64 {
 	for a := base; ; a += ls {
 		if h.prot.HomeOf(a) == home {
 			return a
+		}
+	}
+}
+
+// TestTimelineCoherenceInstants checks the timeline's record of each
+// transaction step: the home bank's request and grant instants on the home
+// tile's track and the invalidation on the owner's, each with the line
+// address as arg.
+func TestTimelineCoherenceInstants(t *testing.T) {
+	h := newCohHarness(t, 4)
+	tl := trace.NewTimeline(0)
+	h.prot.SetTimeline(tl)
+	addr := h.addrFor(1)
+	h.access(0, Read, addr, 0, 0, false)
+	h.settle()
+	h.access(2, Write, addr, 0, 7, true)
+	h.settle()
+
+	want := map[string]string{spanCohDirReq: "core.1", spanCohGrant: "core.1", spanCohInv: "core.0"}
+	seen := map[string]bool{}
+	for _, e := range tl.Events() {
+		track, ok := want[e.Name]
+		if !ok {
+			continue
+		}
+		seen[e.Name] = true
+		if !e.Instant() || e.Track.String() != track || e.Arg != addr {
+			t.Errorf("got %v, want an instant on %s with arg %d", e, track, addr)
+		}
+	}
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("no %s instant recorded", name)
 		}
 	}
 }

@@ -11,9 +11,19 @@ import (
 // fill), one spanCohAtomic per remote atomic round-trip, both on the
 // requesting tile's core track with the line address as arg. They nest
 // inside the CPU op span that issued the access.
+//
+// The instants mark each step of a transaction on the track of the tile
+// that handles it, again with the line address as arg: spanCohDirReq when
+// the home bank starts a request, spanCohGrant when it sends the data,
+// spanCohInv when an L1 handles an invalidation. Spans are written only at
+// completion, so these are the timeline's record of a transaction still in
+// flight when a run wedges.
 const (
 	spanCohMiss   = "coh.miss"
 	spanCohAtomic = "coh.atomic"
+	spanCohDirReq = "coh.dir.req"
+	spanCohGrant  = "coh.grant"
+	spanCohInv    = "coh.inv"
 )
 
 // L1 is a tile's private L1 data cache controller. Cores issue at most one
@@ -24,7 +34,6 @@ type L1 struct {
 	p    *Protocol
 	tile int
 	c    *cache.Cache
-	src  string // precomputed trace source label ("l1.3")
 
 	pend    l1Pending
 	pendSet bool
@@ -60,7 +69,6 @@ func newL1(p *Protocol, tile int) *L1 {
 		p:    p,
 		tile: tile,
 		c:    cache.New(p.cfg.L1Size, p.cfg.L1Ways, p.cfg.LineSize),
-		src:  fmt.Sprintf("l1.%d", tile),
 	}
 }
 
@@ -311,10 +319,7 @@ func (l *L1) finishAtomic(m *msg) {
 //glvet:cyclepath
 func (l *L1) invalidate(m *msg) {
 	st := l.c.Peek(m.addr)
-	if l.p.traceOn {
-		//lint:allow allocfree trace emission is opt-in debugging
-		l.p.tracer.Emit(l.p.eng.Now(), l.src, "inv %#x (was %v, xfer %d)", m.addr, st, m.xfer)
-	}
+	l.p.tl.Instant(trace.CoreTrack(l.tile), spanCohInv, l.p.eng.Now(), 0, m.addr)
 	if m.xfer >= 0 && st.Writable() {
 		// 3-hop ownership transfer: hand the line straight to the new
 		// owner, confirm the transfer to the home with a control flit.

@@ -20,18 +20,16 @@ const localHopLatency = 1
 // Protocol is the whole coherent memory system: one L1 per tile, one L2
 // home bank per tile, the mesh connecting them, and the functional store.
 type Protocol struct {
-	eng    *engine.Engine
-	cfg    config.Config
-	mesh   *noc.Mesh
-	memv   *mem.Store
-	l1s    []*L1
-	banks  []*Bank
-	tracer trace.Tracer
-	// traceOn caches trace.Enabled(tracer) so hot paths skip the Emit call
-	// (and its variadic boxing) with a single field load.
-	traceOn bool
-	// tl, when set, records coherence transactions (miss and atomic
-	// round-trips) as spans on the requesting tile's track.
+	eng   *engine.Engine
+	cfg   config.Config
+	mesh  *noc.Mesh
+	memv  *mem.Store
+	l1s   []*L1
+	banks []*Bank
+	// tl, when set, records coherence transactions: miss and atomic
+	// round-trips as spans on the requesting tile's track, and directory
+	// requests, grants and invalidations as instants on the handling
+	// tile's track.
 	tl *trace.Timeline
 
 	// inj, when set, injects faults into the memory system: mesh link
@@ -77,7 +75,6 @@ func New(eng *engine.Engine, cfg config.Config, memv *mem.Store) *Protocol {
 		eng:      eng,
 		cfg:      cfg,
 		memv:     memv,
-		tracer:   trace.Nop{},
 		lineMask: ^uint64(cfg.LineSize - 1),
 		reg:      metrics.NewRegistry(),
 	}
@@ -104,17 +101,8 @@ func (p *Protocol) SetInjector(inj *fault.Injector) {
 	p.mesh.SetInjector(inj)
 }
 
-// SetTracer installs an event tracer (trace.Nop by default).
-func (p *Protocol) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop{}
-	}
-	p.tracer = t
-	p.traceOn = trace.Enabled(t)
-}
-
 // SetTimeline attaches a span timeline to the memory system: the protocol
-// records miss/atomic round-trips, the mesh per-port occupancy.
+// records its transactions and their steps, the mesh per-port occupancy.
 func (p *Protocol) SetTimeline(tl *trace.Timeline) {
 	p.tl = tl
 	p.mesh.SetTimeline(tl)

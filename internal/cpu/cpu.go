@@ -102,13 +102,11 @@ type Core struct {
 	resCh chan uint64
 	abort chan struct{}
 
-	breakdown  stats.TimeBreakdown
-	opCounts   [numOpKinds]uint64
-	startCycle uint64
-	endCycle   uint64
-	running    bool
-	done       bool
-	err        error
+	breakdown stats.TimeBreakdown
+	opCounts  [numOpKinds]uint64
+	running   bool
+	done      bool
+	err       error
 
 	// curOp is the op being executed (valid while curValid); opStart is
 	// the cycle it was dispatched. The core is in-order and blocking, so
@@ -190,9 +188,6 @@ func (c *Core) OpCounts() (compute, loads, stores, atomics, barriers uint64) {
 	return c.opCounts[opCompute], c.opCounts[opLoad], c.opCounts[opStore], c.opCounts[opAtomic], c.opCounts[opGLBarrier]
 }
 
-// FinishCycle returns the cycle the program completed (valid once Done).
-func (c *Core) FinishCycle() uint64 { return c.endCycle }
-
 // errAborted is the sentinel carried by the panic that unwinds a program
 // goroutine when the simulation is torn down early.
 var errAborted = fmt.Errorf("cpu: simulation aborted")
@@ -204,7 +199,6 @@ func (c *Core) Start(prog Program) {
 		panic(fmt.Sprintf("cpu: core %d already running", c.id))
 	}
 	c.running = true
-	c.startCycle = c.eng.Now()
 	ctx := &Ctx{core: c, region: stats.RegionBusy}
 	// The program goroutine waits for the engine's first next-op event
 	// before running. This start gate extends the op-handshake
@@ -258,7 +252,7 @@ func (c *Core) complete(val uint64) {
 	select {
 	case c.resCh <- val:
 	case <-c.abort:
-		c.finishProgram()
+		c.done = true
 		return
 	}
 	c.nextOp()
@@ -294,11 +288,11 @@ func (c *Core) nextOp() {
 	select {
 	case o, ok = <-c.opCh:
 	case <-c.abort:
-		c.finishProgram()
+		c.done = true
 		return
 	}
 	if !ok {
-		c.finishProgram()
+		c.done = true
 		return
 	}
 	c.opCounts[o.kind]++
@@ -331,7 +325,7 @@ func (c *Core) nextOp() {
 		if c.be == nil {
 			c.err = fmt.Errorf("cpu: core %d executed GLBarrier without a barrier engine", c.id)
 			c.Abort()
-			c.finishProgram()
+			c.done = true
 			return
 		}
 		c.glPending = true
@@ -427,7 +421,7 @@ func (c *Core) GLRelease() {
 	select {
 	case c.resCh <- 0:
 	case <-c.abort:
-		c.finishProgram()
+		c.done = true
 		return
 	}
 	c.nextOp()
@@ -509,13 +503,6 @@ func (s Status) String() string {
 		line += " err=" + s.Err
 	}
 	return line
-}
-
-func (c *Core) finishProgram() {
-	if !c.done {
-		c.done = true
-		c.endCycle = c.eng.Now()
-	}
 }
 
 // Ctx is the interface a Program uses to issue operations. It is only valid

@@ -116,6 +116,3 @@ func (a *Allocator) Words(n int) uint64 {
 
 // AlignLine advances the allocation point to the next line boundary.
 func (a *Allocator) AlignLine() { a.next = a.roundUp(a.next) }
-
-// Used returns the number of bytes handed out so far.
-func (a *Allocator) Used(base uint64) uint64 { return a.next - base }

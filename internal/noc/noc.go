@@ -54,13 +54,9 @@ type Packet struct {
 	Flits int
 	// Payload is the protocol-level message carried by this packet.
 	Payload any
-	// InjectedAt is the cycle Inject was called, for latency accounting.
+	// InjectedAt is the cycle Send was called, for latency accounting.
 	InjectedAt uint64
 
-	// pooled marks packets owned by the mesh's free list (Send path); they
-	// are recycled after the sink returns. Caller-built packets handed to
-	// Inject are never recycled.
-	pooled bool
 	// next links free packets.
 	next *Packet
 }
@@ -141,7 +137,7 @@ type Mesh struct {
 	latCount  [stats.NumMsgClasses]uint64
 
 	// pktFree recycles packets created by Send; sinks never retain their
-	// packet past the callback, so a delivered pooled packet is immediately
+	// packet past the callback, so a delivered packet is immediately
 	// reusable.
 	pktFree *Packet
 
@@ -199,49 +195,31 @@ func (m *Mesh) SetTimeline(tl *trace.Timeline) { m.tl = tl }
 // Nodes returns the number of tiles.
 func (m *Mesh) Nodes() int { return m.cols * m.rows }
 
-// Inject queues packet p at its source router's local input port. The
-// packet's ID and InjectedAt fields are assigned here. The mesh does not
-// take ownership: caller-built packets are never recycled.
-func (m *Mesh) Inject(p *Packet) {
-	p.pooled = false
-	m.inject(p)
-}
-
-// Send builds a packet from the mesh's free list and injects it — the
-// allocation-free path protocol hot loops use. The packet is recycled
-// after the sink returns, so sinks must not retain it.
+// Send queues a packet from src to dst at src's local input port. The mesh
+// assigns its ID (counting up from 0 in send order) and InjectedAt. Packets
+// come from the mesh's free list and are recycled after the sink returns,
+// so steady state allocates nothing and sinks must not retain the packet.
 //
 //glvet:cyclepath
 func (m *Mesh) Send(src, dst int, class stats.MsgClass, flits int, payload any) {
+	if src < 0 || src >= len(m.routers) || dst < 0 || dst >= len(m.routers) {
+		panic(fmt.Sprintf("noc: packet endpoints out of range: src=%d dst=%d nodes=%d", src, dst, len(m.routers)))
+	}
+	if flits <= 0 {
+		panic(fmt.Sprintf("noc: packet with %d flits", flits))
+	}
 	p := m.pktFree
 	if p != nil {
 		m.pktFree = p.next
-		*p = Packet{pooled: true}
 	} else {
 		//lint:allow allocfree pool warm-up; steady state reuses delivered packets
-		p = &Packet{pooled: true}
+		p = &Packet{}
 	}
-	p.Src, p.Dst = src, dst
-	p.Class = class
-	p.Flits = flits
-	p.Payload = payload
-	m.inject(p)
-}
-
-//glvet:cyclepath
-func (m *Mesh) inject(p *Packet) {
-	if p.Src < 0 || p.Src >= len(m.routers) || p.Dst < 0 || p.Dst >= len(m.routers) {
-		panic(fmt.Sprintf("noc: packet endpoints out of range: src=%d dst=%d nodes=%d", p.Src, p.Dst, len(m.routers)))
-	}
-	if p.Flits <= 0 {
-		panic(fmt.Sprintf("noc: packet with %d flits", p.Flits))
-	}
-	p.ID = m.nextID
+	*p = Packet{ID: m.nextID, Src: src, Dst: dst, Class: class, Flits: flits, Payload: payload, InjectedAt: m.eng.Now()}
 	m.nextID++
-	p.InjectedAt = m.eng.Now()
-	m.traffic.Add(p.Class, p.Flits)
+	m.traffic.Add(class, flits)
 	m.inFlight++
-	m.enqueue(p.Src, portLocal, p)
+	m.enqueue(src, portLocal, p)
 }
 
 // Traffic returns the accumulated per-class message/flit counters.
@@ -446,11 +424,9 @@ func (m *Mesh) deliver(node int, p *Packet) {
 	m.latCount[p.Class]++
 	m.latHist[p.Class].Observe(lat)
 	m.sink(node, p)
-	if p.pooled {
-		*p = Packet{}
-		p.next = m.pktFree
-		m.pktFree = p
-	}
+	*p = Packet{}
+	p.next = m.pktFree
+	m.pktFree = p
 }
 
 // Stats is a serializable summary of the mesh's link-level activity: the

@@ -15,6 +15,7 @@ type harness struct {
 	mesh      *Mesh
 	delivered map[uint64]uint64 // packet ID -> delivery cycle
 	dests     map[uint64]int
+	sent      uint64 // packets sent so far: the next ID the mesh assigns
 }
 
 func newHarness(t *testing.T, cols, rows int, routerLat, linkLat uint64) *harness {
@@ -34,6 +35,15 @@ func newHarness(t *testing.T, cols, rows int, routerLat, linkLat uint64) *harnes
 	return h
 }
 
+// send queues one packet and returns the ID the mesh assigns it (IDs count
+// up from 0 in send order).
+func (h *harness) send(src, dst int, class stats.MsgClass, flits int) uint64 {
+	id := h.sent
+	h.mesh.Send(src, dst, class, flits, nil)
+	h.sent++
+	return id
+}
+
 func (h *harness) drain(max int) {
 	for i := 0; i < max && h.mesh.InFlight() > 0; i++ {
 		h.eng.Step()
@@ -47,10 +57,9 @@ func (h *harness) drain(max int) {
 func TestSinglePacketLatency(t *testing.T) {
 	// 4x4 mesh, router 1, link 1. Corner to corner: 6 hops.
 	h := newHarness(t, 4, 4, 1, 1)
-	p := &Packet{Src: 0, Dst: 15, Class: stats.ClassRequest, Flits: 1}
-	h.mesh.Inject(p)
+	id := h.send(0, 15, stats.ClassRequest, 1)
 	h.drain(200)
-	got, ok := h.delivered[p.ID]
+	got, ok := h.delivered[id]
 	if !ok {
 		t.Fatal("packet not delivered")
 	}
@@ -59,8 +68,8 @@ func TestSinglePacketLatency(t *testing.T) {
 	if got < 15 || got > 25 {
 		t.Errorf("corner-to-corner 1-flit latency %d, want ~20", got)
 	}
-	if h.dests[p.ID] != 15 {
-		t.Errorf("delivered to %d, want 15", h.dests[p.ID])
+	if h.dests[id] != 15 {
+		t.Errorf("delivered to %d, want 15", h.dests[id])
 	}
 }
 
@@ -68,10 +77,9 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 	// A 9-flit packet across 6 hops: cut-through pays the payload once
 	// (~hops*3 + 9), store-and-forward would pay ~hops*(3+9).
 	h := newHarness(t, 4, 4, 1, 1)
-	p := &Packet{Src: 0, Dst: 15, Class: stats.ClassReply, Flits: 9}
-	h.mesh.Inject(p)
+	id := h.send(0, 15, stats.ClassReply, 9)
 	h.drain(300)
-	got := h.delivered[p.ID]
+	got := h.delivered[id]
 	if got == 0 || got > 45 {
 		t.Errorf("9-flit latency %d; store-and-forward (~70+) suggests cut-through is broken", got)
 	}
@@ -79,10 +87,9 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 
 func TestLocalDelivery(t *testing.T) {
 	h := newHarness(t, 2, 2, 1, 1)
-	p := &Packet{Src: 1, Dst: 1, Class: stats.ClassRequest, Flits: 1}
-	h.mesh.Inject(p)
+	id := h.send(1, 1, stats.ClassRequest, 1)
 	h.drain(50)
-	if _, ok := h.delivered[p.ID]; !ok {
+	if _, ok := h.delivered[id]; !ok {
 		t.Fatal("self-addressed packet not delivered")
 	}
 }
@@ -91,12 +98,10 @@ func TestSerializationContention(t *testing.T) {
 	// Two 9-flit packets over the same link one after another: the second
 	// must wait for the first's tail (one link moves 1 flit/cycle).
 	h := newHarness(t, 2, 1, 1, 1)
-	p1 := &Packet{Src: 0, Dst: 1, Class: stats.ClassReply, Flits: 9}
-	p2 := &Packet{Src: 0, Dst: 1, Class: stats.ClassReply, Flits: 9}
-	h.mesh.Inject(p1)
-	h.mesh.Inject(p2)
+	id1 := h.send(0, 1, stats.ClassReply, 9)
+	id2 := h.send(0, 1, stats.ClassReply, 9)
 	h.drain(200)
-	d1, d2 := h.delivered[p1.ID], h.delivered[p2.ID]
+	d1, d2 := h.delivered[id1], h.delivered[id2]
 	if d2 < d1+9 {
 		t.Errorf("second packet at %d, first at %d: link serialization lost", d2, d1)
 	}
@@ -104,9 +109,9 @@ func TestSerializationContention(t *testing.T) {
 
 func TestTrafficCounters(t *testing.T) {
 	h := newHarness(t, 2, 2, 1, 1)
-	h.mesh.Inject(&Packet{Src: 0, Dst: 3, Class: stats.ClassRequest, Flits: 1})
-	h.mesh.Inject(&Packet{Src: 3, Dst: 0, Class: stats.ClassReply, Flits: 9})
-	h.mesh.Inject(&Packet{Src: 1, Dst: 2, Class: stats.ClassCoherence, Flits: 1})
+	h.send(0, 3, stats.ClassRequest, 1)
+	h.send(3, 0, stats.ClassReply, 9)
+	h.send(1, 2, stats.ClassCoherence, 1)
 	h.drain(100)
 	tr := h.mesh.Traffic()
 	if tr.Messages[stats.ClassRequest] != 1 || tr.Messages[stats.ClassReply] != 1 || tr.Messages[stats.ClassCoherence] != 1 {
@@ -134,7 +139,7 @@ func TestXYRoutingNoDeadlockUnderLoad(t *testing.T) {
 		if i%3 == 0 {
 			flits = 9
 		}
-		h.mesh.Inject(&Packet{Src: src, Dst: dst, Class: stats.ClassRequest, Flits: flits})
+		h.send(src, dst, stats.ClassRequest, flits)
 	}
 	h.drain(100_000)
 	if len(h.delivered) != n {
@@ -163,9 +168,8 @@ func TestPropDeliveryExactlyOnceAndOrdered(t *testing.T) {
 		sent := map[flow][]uint64{}
 		for i := 0; i < n; i++ {
 			fl := flow{r.Intn(8), r.Intn(8)}
-			p := &Packet{Src: fl.src, Dst: fl.dst, Class: stats.ClassRequest, Flits: 1 + r.Intn(9)}
-			mesh.Inject(p)
-			sent[fl] = append(sent[fl], p.ID)
+			mesh.Send(fl.src, fl.dst, stats.ClassRequest, 1+r.Intn(9), nil)
+			sent[fl] = append(sent[fl], uint64(i)) // IDs count up from 0
 		}
 		for i := 0; i < 50_000 && mesh.InFlight() > 0; i++ {
 			eng.Step()
@@ -200,28 +204,28 @@ func TestPropDeliveryExactlyOnceAndOrdered(t *testing.T) {
 	}
 }
 
-func TestInjectValidation(t *testing.T) {
+func TestSendValidation(t *testing.T) {
 	h := newHarness(t, 2, 2, 1, 1)
-	for _, p := range []*Packet{
-		{Src: -1, Dst: 0, Flits: 1},
-		{Src: 0, Dst: 4, Flits: 1},
-		{Src: 0, Dst: 1, Flits: 0},
+	for _, c := range []struct{ src, dst, flits int }{
+		{-1, 0, 1},
+		{0, 4, 1},
+		{0, 1, 0},
 	} {
-		p := p
+		c := c
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Inject(%+v) did not panic", p)
+					t.Errorf("Send(src=%d, dst=%d, flits=%d) did not panic", c.src, c.dst, c.flits)
 				}
 			}()
-			h.mesh.Inject(p)
+			h.mesh.Send(c.src, c.dst, stats.ClassRequest, c.flits, nil)
 		}()
 	}
 }
 
 func TestLinkUtilizationAccounting(t *testing.T) {
 	h := newHarness(t, 2, 1, 1, 1)
-	h.mesh.Inject(&Packet{Src: 0, Dst: 1, Class: stats.ClassReply, Flits: 9})
+	h.send(0, 1, stats.ClassReply, 9)
 	h.drain(100)
 	util := h.mesh.LinkUtilization()
 	var total uint64
@@ -240,7 +244,7 @@ func TestHeatmapRendersHotSpot(t *testing.T) {
 	h := newHarness(t, 4, 4, 1, 1)
 	// Everyone sends to tile 0: its links must be the hottest.
 	for src := 1; src < 16; src++ {
-		h.mesh.Inject(&Packet{Src: src, Dst: 0, Class: stats.ClassRequest, Flits: 9})
+		h.send(src, 0, stats.ClassRequest, 9)
 	}
 	h.drain(10_000)
 	out := h.mesh.Heatmap()

@@ -416,15 +416,6 @@ func (j *Injector) FiredBySite() map[string]uint64 {
 	return out
 }
 
-// SiteNames returns every site key in site order — the generator's menu.
-func SiteNames() []string {
-	names := make([]string, NumSites)
-	for s := Site(0); s < NumSites; s++ {
-		names[s] = s.String()
-	}
-	return names
-}
-
 // FiredSummary renders the ledger as a stable one-line summary in site
 // order.
 func (j *Injector) FiredSummary() string {

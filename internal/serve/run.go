@@ -7,11 +7,11 @@ import (
 	"repro/internal/workload"
 )
 
-// RunCell is the default CellRunner: a fresh system per cell, the ring
-// attached for hang dumps, the workload run to completion. The simulator
-// core is not interruptible mid-run — cancellation is handled one level
-// up, where internal/sweep abandons the goroutine and the eventual result
-// still lands in the cache (work already paid for is never discarded).
+// RunCell is the default CellRunner: a fresh system per cell, the workload
+// run to completion. The simulator core is not interruptible mid-run —
+// cancellation is handled one level up, where internal/sweep abandons the
+// goroutine and the eventual result still lands in the cache (work already
+// paid for is never discarded).
 func RunCell(ctx context.Context, c Cell) (*sim.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -25,8 +25,5 @@ func RunCell(ctx context.Context, c Cell) (*sim.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The ring gives the watchdog protocol history to dump on a hang;
-	// unread tracing is lazy and near-free.
-	sys.AttachRing(256)
 	return workload.Run(sys, bench, c.Barrier, c.Threads, c.MaxCycles)
 }

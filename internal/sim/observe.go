@@ -8,7 +8,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // DefaultStallLimit is the engine watchdog default installed by New: abort
@@ -157,18 +156,9 @@ func (s *System) ObserveBarrier(obs BarrierObserver) {
 	s.installGuardObs()
 }
 
-// AttachRing installs a trace ring of the given capacity as the coherence
-// protocol's tracer and keeps it for the hang watchdog's post-mortem dump.
-// Returns the ring so callers can dump it on demand.
-func (s *System) AttachRing(capacity int) *trace.Ring {
-	s.ring = trace.NewRing(capacity)
-	s.Prot.SetTracer(s.ring)
-	return s.ring
-}
-
 // HangDump is the post-mortem a failed run carries in its report: where the
 // simulation stopped, what was queued, what every core was doing, and the
-// tail of the protocol trace (when a ring was attached).
+// tail of the span timeline (when one was attached).
 type HangDump struct {
 	Cycle         uint64                `json:"cycle"`
 	Reason        string                `json:"reason"`
@@ -179,11 +169,9 @@ type HangDump struct {
 	// state (arrivals, buffered early arrivals, retry/backoff progress)
 	// when the run used one; chaos-found hangs are diagnosed from this.
 	Guard []core.GuardCtxStatus `json:"guard,omitempty"`
-	Trace []string              `json:"trace,omitempty"`
-	// TimelineTail is the most recent slice of the structured span timeline
-	// (when one was attached): the typed counterpart of Trace, showing
-	// exactly which barrier phases, transactions and releases were in
-	// flight when the run wedged.
+	// TimelineTail is the most recent slice of the span timeline (when one
+	// was attached), showing exactly which barrier phases, coherence steps
+	// and releases were in flight when the run wedged.
 	TimelineTail []string `json:"timeline_tail,omitempty"`
 }
 
@@ -200,11 +188,6 @@ func (s *System) hangDump(err error) *HangDump {
 	}
 	if guard, ok := s.GL.(*core.Recovering); ok {
 		d.Guard = guard.Status()
-	}
-	if s.ring != nil {
-		for _, e := range s.ring.Events() {
-			d.Trace = append(d.Trace, e.String())
-		}
 	}
 	if s.tl != nil {
 		for _, e := range s.tl.Tail(hangTimelineTail) {
@@ -233,12 +216,6 @@ func (d *HangDump) String() string {
 	}
 	for _, gs := range d.Guard {
 		fmt.Fprintf(&b, "%s\n", gs)
-	}
-	if len(d.Trace) > 0 {
-		fmt.Fprintf(&b, "last %d protocol events:\n", len(d.Trace))
-		for _, line := range d.Trace {
-			fmt.Fprintf(&b, "%s\n", line)
-		}
 	}
 	if len(d.TimelineTail) > 0 {
 		fmt.Fprintf(&b, "last %d timeline events:\n", len(d.TimelineTail))

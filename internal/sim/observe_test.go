@@ -150,7 +150,7 @@ func TestReportJSON(t *testing.T) {
 
 func TestWatchdogDumpOnBudgetExhaustion(t *testing.T) {
 	s := newTestSystem(t, 4)
-	s.AttachRing(64)
+	s.AttachTimeline(1 << 12)
 	b, err := s.NewBarrier(barrier.KindCSW, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +186,16 @@ func TestWatchdogDumpOnBudgetExhaustion(t *testing.T) {
 	if d.PendingEvents == 0 || len(d.NextEvents) == 0 {
 		t.Error("dump must summarize pending events (the 2^40 compute is queued)")
 	}
-	if len(d.Trace) == 0 {
-		t.Error("dump must include the attached trace ring (CSW spins emit protocol events)")
+	if len(d.TimelineTail) == 0 {
+		t.Error("dump must include the attached timeline's tail")
+	}
+	// The CSW lock and counter traffic leaves coherence events in the
+	// tail: the record of transactions around the wedge.
+	if tail := strings.Join(d.TimelineTail, "\n"); !strings.Contains(tail, " coh.") {
+		t.Errorf("timeline tail carries no coherence events:\n%s", tail)
 	}
 	text := d.String()
-	for _, want := range []string{"watchdog dump", "reason:", "pending events:", "core "} {
+	for _, want := range []string{"watchdog dump", "reason:", "pending events:", "core ", "timeline events:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("dump text missing %q:\n%s", want, text)
 		}

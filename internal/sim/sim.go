@@ -64,7 +64,6 @@ type System struct {
 
 	glm      *glMeter
 	glSteps  *metrics.Counter // host work: G-line context steps
-	ring     *trace.Ring
 	inj      *fault.Injector
 	launched int
 

@@ -1,8 +1,8 @@
-// Structured span timelines: the typed, zero-allocation counterpart of the
-// format-string Ring. Components record complete spans (begin/end cycle
-// pairs) and instant events on per-component tracks; an attached Timeline
-// keeps the most recent events in a fixed ring and renders them as a
-// Chrome trace-event file (export.go) or a post-mortem tail.
+// Package trace is the simulator's span timeline. Components record
+// complete spans (begin/end cycle pairs) and instant events on
+// per-component tracks; an attached Timeline keeps the most recent events
+// in a fixed ring and renders them as a Chrome trace-event file (export.go)
+// or a post-mortem tail.
 //
 // The cost contract mirrors the rest of the cycle path (DESIGN.md §10/§11):
 //
@@ -123,17 +123,6 @@ func (e SpanEvent) String() string {
 	return fmt.Sprintf("%10d %-14s %-22s +%d ep=%d arg=%d", e.Start, e.Track, e.Name, e.End-e.Start, e.Episode, e.Arg)
 }
 
-// Span is an in-flight span handle returned by Timeline.Begin; pass it to
-// Timeline.End to record the complete span. It is a plain value — no slot
-// is held in the ring until End.
-type Span struct {
-	track   Track
-	name    string
-	start   uint64
-	episode uint64
-	arg     uint64
-}
-
 // Timeline is a fixed-capacity ring of SpanEvents. All emit methods accept
 // a nil receiver as the disabled state; accessors (Events, Tail, Len) are
 // cold-path only.
@@ -181,27 +170,6 @@ func (t *Timeline) Span(track Track, name string, start, end, episode, arg uint6
 //glvet:cyclepath
 func (t *Timeline) Instant(track Track, name string, cycle, episode, arg uint64) {
 	t.Span(track, name, cycle, cycle, episode, arg)
-}
-
-// Begin opens a span; the returned handle carries everything but the end
-// cycle. Begin on a nil timeline returns a zero handle that End ignores.
-//
-//glvet:cyclepath
-func (t *Timeline) Begin(track Track, name string, cycle, episode, arg uint64) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{track: track, name: name, start: cycle, episode: episode, arg: arg}
-}
-
-// End records the span opened by Begin as complete at the given cycle.
-//
-//glvet:cyclepath
-func (t *Timeline) End(s Span, cycle uint64) {
-	if t == nil || s.name == "" {
-		return
-	}
-	t.Span(s.track, s.name, s.start, cycle, s.episode, s.arg)
 }
 
 // Len reports how many events are currently held.

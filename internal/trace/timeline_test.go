@@ -52,26 +52,21 @@ func TestTimelinePartialAndTail(t *testing.T) {
 	}
 }
 
-func TestTimelineBeginEnd(t *testing.T) {
+// TestTimelineSpanFields checks a complete span keeps every field it was
+// emitted with.
+func TestTimelineSpanFields(t *testing.T) {
 	tl := NewTimeline(8)
-	s := tl.Begin(RouterTrack(2, 3), "test.span", 100, 7, 9)
-	tl.End(s, 140)
+	tl.Span(RouterTrack(2, 3), "test.span", 100, 140, 7, 9)
 	evs := tl.Events()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events, want 1", len(evs))
 	}
-	e := evs[0]
-	if e.Start != 100 || e.End != 140 || e.Episode != 7 || e.Arg != 9 {
-		t.Fatalf("recorded span = %+v", e)
+	want := SpanEvent{Start: 100, End: 140, Track: RouterTrack(2, 3), Name: "test.span", Episode: 7, Arg: 9}
+	if e := evs[0]; e != want {
+		t.Fatalf("recorded span = %+v, want %+v", e, want)
 	}
-	if e.Instant() {
+	if evs[0].Instant() {
 		t.Fatal("span misclassified as instant")
-	}
-	// A zero handle (Begin on a nil timeline) must be ignored by End.
-	var nilTL *Timeline
-	tl.End(nilTL.Begin(CoreTrack(0), "test.span", 1, 0, 0), 2)
-	if got := tl.Len(); got != 1 {
-		t.Fatalf("End(zero handle) recorded an event: Len = %d", got)
 	}
 }
 
@@ -79,7 +74,6 @@ func TestNilTimelineIsSafe(t *testing.T) {
 	var tl *Timeline
 	tl.Span(CoreTrack(0), "test.span", 1, 2, 0, 0)
 	tl.Instant(CoreTrack(0), "test.ev", 1, 0, 0)
-	tl.End(tl.Begin(CoreTrack(0), "test.span", 1, 0, 0), 2)
 	if tl.Len() != 0 || tl.Total() != 0 || tl.Dropped() != 0 {
 		t.Fatal("nil timeline reports nonzero counts")
 	}
@@ -136,7 +130,6 @@ func TestZeroAllocSpanDisabled(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		tl.Span(track, "test.span", 10, 20, 1, 2)
 		tl.Instant(track, "test.ev", 10, 1, 2)
-		tl.End(tl.Begin(track, "test.span", 10, 1, 2), 20)
 	}); n != 0 {
 		t.Fatalf("disabled emit allocates %v per run, want 0", n)
 	}
@@ -150,7 +143,6 @@ func TestZeroAllocSpanEnabled(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		tl.Span(track, "test.span", 10, 20, 1, 2)
 		tl.Instant(track, "test.ev", 10, 1, 2)
-		tl.End(tl.Begin(track, "test.span", 10, 1, 2), 20)
 	}); n != 0 {
 		t.Fatalf("enabled emit allocates %v per run, want 0", n)
 	}

@@ -14,16 +14,14 @@ import (
 )
 
 // runObserved is runFresh with every observability feature turned on: a
-// trace ring on the coherence protocol, a span timeline across every
-// component, the JSON export, the Chrome trace export and the link heatmap
-// all rendered after the run. Instrumentation must be pure observation —
-// none of it may perturb simulated timing.
+// span timeline across every component, the JSON export, the Chrome trace
+// export and the link heatmap all rendered after the run. Instrumentation
+// must be pure observation — none of it may perturb simulated timing.
 func runObserved(cores int, w Workload, kind BarrierKind) (*Report, error) {
 	sys, err := sim.New(config.Default(cores))
 	if err != nil {
 		return nil, err
 	}
-	sys.AttachRing(256)
 	tl := sys.AttachTimeline(1 << 16)
 	rep, err := workload.Run(sys, w, kind, cores, defaultCycleBudget)
 	if err != nil {

@@ -24,10 +24,11 @@ lint: vet glvet
 
 # Alloc regression gates: the AllocsPerRun tests pinning zero steady-state
 # allocation on the engine/noc/coherence/cpu cycle paths and the disabled
-# span-emit path, plus the allocfree static check over //glvet:cyclepath
-# functions. See DESIGN.md §10.
+# span-emit path, the allocation bound on building a 32-core system, plus
+# the allocfree static check over //glvet:cyclepath functions. See
+# DESIGN.md §10.
 alloc-gates:
-	go test -run ZeroAlloc -v ./internal/engine ./internal/noc ./internal/coherence ./internal/cpu ./internal/trace
+	go test -run 'ZeroAlloc|SimNewAllocs' -v ./internal/engine ./internal/noc ./internal/coherence ./internal/cpu ./internal/trace ./internal/sim
 	go run ./cmd/glvet -only allocfree ./...
 
 # Timeline smoke: export a small traced run as Chrome trace-event JSON into

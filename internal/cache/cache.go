@@ -48,7 +48,7 @@ type Cache struct {
 	setBits   uint
 	setMask   uint64
 	ways      int
-	sets      [][]line
+	lines     []line // set s is lines[s*ways : (s+1)*ways]
 	tick      uint64
 
 	hits, misses uint64
@@ -79,16 +79,13 @@ func New(size, ways, lineSize int) *Cache {
 		setBits:   setBits,
 		setMask:   uint64(numSets - 1),
 		ways:      ways,
-		sets:      make([][]line, numSets),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, ways)
+		lines:     make([]line, numSets*ways),
 	}
 	return c
 }
 
 // Sets returns the number of sets; Ways the associativity.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.lines) / c.ways }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -102,12 +99,16 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(lineAddr & c.setMask), lineAddr >> c.setBits
 }
 
+// set returns the ways of set s.
+func (c *Cache) set(s int) []line { return c.lines[s*c.ways : (s+1)*c.ways] }
+
 // Lookup probes the cache. On a hit it refreshes LRU and returns the current
 // state; on a miss it returns StateInvalid. Lookup counts hit/miss stats.
 func (c *Cache) Lookup(addr uint64) State {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.state != StateInvalid && l.tag == tag {
 			c.tick++
 			l.lru = c.tick
@@ -122,8 +123,9 @@ func (c *Cache) Lookup(addr uint64) State {
 // Peek returns the state of addr without touching LRU or counters.
 func (c *Cache) Peek(addr uint64) State {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.state != StateInvalid && l.tag == tag {
 			return l.state
 		}
@@ -135,8 +137,9 @@ func (c *Cache) Peek(addr uint64) State {
 // absent (protocol bug) unless the new state is StateInvalid.
 func (c *Cache) SetState(addr uint64, s State) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.state != StateInvalid && l.tag == tag {
 			l.state = s
 			if s == StateInvalid {
@@ -156,8 +159,9 @@ func (c *Cache) SetState(addr uint64, s State) {
 func (c *Cache) Victim(addr uint64) (victimAddr uint64, evict bool) {
 	set, tag := c.index(addr)
 	var lru *line
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.state == StateInvalid {
 			return 0, false
 		}
@@ -185,8 +189,9 @@ func (c *Cache) Insert(addr uint64, s State) (victimAddr uint64, victimState Sta
 	set, tag := c.index(addr)
 	c.tick++
 	var lru *line
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.state != StateInvalid && l.tag == tag {
 			l.state = s
 			l.lru = c.tick
@@ -216,11 +221,9 @@ func (c *Cache) Insert(addr uint64, s State) (victimAddr uint64, victimState Sta
 // ResidentLines returns the number of valid lines, for tests.
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != StateInvalid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.state != StateInvalid {
+			n++
 		}
 	}
 	return n
@@ -229,11 +232,9 @@ func (c *Cache) ResidentLines() int {
 // ForEach calls fn for every resident line (address and state), in set
 // order. Used by invariant checkers and debug dumps.
 func (c *Cache) ForEach(fn func(lineAddr uint64, st State)) {
-	for set := range c.sets {
-		for _, l := range c.sets[set] {
-			if l.state != StateInvalid {
-				fn(c.lineAddr(set, l.tag), l.state)
-			}
+	for i, l := range c.lines {
+		if l.state != StateInvalid {
+			fn(c.lineAddr(i/c.ways, l.tag), l.state)
 		}
 	}
 }

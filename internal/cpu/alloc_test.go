@@ -11,9 +11,8 @@ import (
 
 // TestZeroAllocOpHandshake is the core's alloc regression gate: once a
 // program is running and its working set is cached, the op handshake —
-// channel rendezvous, L1 access, typed completion callback, resume — must
-// not allocate per engine step (ISSUE: zero steady-state allocation in the
-// cpu op-handshake).
+// coroutine switch, L1 access, typed completion callback, resume — must
+// not allocate per engine step.
 func TestZeroAllocOpHandshake(t *testing.T) {
 	eng := engine.New()
 	cfg := config.Default(4)
@@ -55,4 +54,30 @@ func TestZeroAllocOpHandshake(t *testing.T) {
 		t.Fatalf("op-handshake steady state allocates %.1f objects per 200 steps, want 0", allocs)
 	}
 	core.Abort()
+}
+
+// BenchmarkCPUOpHandshake measures one op round trip: the engine completes
+// a Compute(1), the core resumes the program, and the program issues the
+// next one. Each iteration is one engine step and one op.
+func BenchmarkCPUOpHandshake(b *testing.B) {
+	eng := engine.New()
+	cfg := config.Default(4)
+	prot := coherence.New(eng, cfg, mem.NewStore())
+	core := NewCore(0, eng, cfg.IssueWidth, cfg.GLCallOverhead, prot.L1(0), nil)
+	core.Start(func(c *Ctx) {
+		for {
+			c.Compute(1)
+		}
+	})
+	defer core.Abort()
+	eng.Step() // the first resume issues the first op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	if compute, _, _, _, _ := core.OpCounts(); compute != uint64(b.N)+1 {
+		b.Fatalf("%d steps issued %d ops, want one op per step", b.N, compute-1)
+	}
 }

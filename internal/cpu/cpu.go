@@ -1,15 +1,20 @@
+//go:build go1.23
+
 // Package cpu models the in-order cores of the CMP and the operation-level
 // program interface workloads are written against.
 //
-// A Program is an ordinary Go function running in its own goroutine; it
+// A Program is an ordinary Go function run as a coroutine (iter.Pull); it
 // issues operations (compute, loads, stores, atomics, G-line barriers)
-// through a Ctx. The core and the program hand off control synchronously —
-// exactly one of them runs at any instant — so simulation remains
-// deterministic while workloads read like straight-line code.
+// through a Ctx. Each operation suspends the program and hands the op to
+// the core, which resumes it with the result once the engine has timed the
+// op. The program only ever runs inside the core's resume call, on the
+// engine's goroutine, so simulation remains deterministic while workloads
+// read like straight-line code.
 package cpu
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/coherence"
 	"repro/internal/engine"
@@ -98,9 +103,13 @@ type Core struct {
 	l1         *coherence.L1
 	be         BarrierEngine
 
-	opCh  chan op
-	resCh chan uint64
-	abort chan struct{}
+	// next resumes the program until it yields its next op; stop unwinds
+	// it. yield, called by the program's Ctx, suspends it with an op; the
+	// core leaves the op's result in res before resuming it.
+	next  func() (op, bool)
+	stop  func()
+	yield func(op) bool
+	res   uint64
 
 	breakdown stats.TimeBreakdown
 	opCounts  [numOpKinds]uint64
@@ -141,9 +150,6 @@ func NewCore(id int, eng *engine.Engine, issueWidth int, glOverhead uint64, l1 *
 		overhead:   glOverhead,
 		l1:         l1,
 		be:         be,
-		opCh:       make(chan op),
-		resCh:      make(chan uint64),
-		abort:      make(chan struct{}),
 	}
 	c.completeFn = c.complete
 	c.spinAttemptFn = c.spinAttempt
@@ -189,54 +195,39 @@ func (c *Core) OpCounts() (compute, loads, stores, atomics, barriers uint64) {
 }
 
 // errAborted is the sentinel carried by the panic that unwinds a program
-// goroutine when the simulation is torn down early.
+// when the simulation is torn down early.
 var errAborted = fmt.Errorf("cpu: simulation aborted")
 
-// Start launches prog on the core. The program begins issuing operations at
-// the engine's current cycle.
+// Start launches prog on the core as a coroutine. The engine first resumes
+// it, and it begins issuing operations, at the engine's current cycle.
 func (c *Core) Start(prog Program) {
 	if c.running {
 		panic(fmt.Sprintf("cpu: core %d already running", c.id))
 	}
 	c.running = true
 	ctx := &Ctx{core: c, region: stats.RegionBusy}
-	// The program goroutine waits for the engine's first next-op event
-	// before running. This start gate extends the op-handshake
-	// serialization to the program's very first instructions: code a
-	// program runs before its first operation (e.g. a barrier recorder
-	// stamping an arrival) is ordered after everything the engine ran
-	// earlier, so programs never execute concurrently with each other.
-	gate := make(chan struct{})
-	go func() {
-		defer close(c.opCh)
+	c.next, c.stop = iter.Pull(func(yield func(op) bool) {
 		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && err == errAborted {
-					return
-				}
+			if r := recover(); r != nil && r != errAborted {
 				c.err = fmt.Errorf("cpu: core %d program panic: %v", c.id, r)
 			}
 		}()
-		select {
-		case <-gate:
-		case <-c.abort:
-			return
-		}
+		c.yield = yield
 		prog(ctx)
-	}()
-	c.eng.At(c.eng.Now(), func() {
-		close(gate)
-		c.nextOp()
 	})
+	// The program's first instructions run inside the first nextOp, so
+	// code it runs before its first operation (e.g. a barrier recorder
+	// stamping an arrival) is ordered after everything the engine ran
+	// earlier.
+	c.eng.At(c.eng.Now(), c.nextOp)
 }
 
-// Abort tears the core down mid-run (watchdog/error paths). The program
-// goroutine unwinds the next time it touches its Ctx.
+// Abort tears the core down mid-run (watchdog/error paths): the program
+// unwinds before Abort returns, and the core is done the next time the
+// engine reaches it.
 func (c *Core) Abort() {
-	select {
-	case <-c.abort:
-	default:
-		close(c.abort)
+	if c.stop != nil {
+		c.stop()
 	}
 }
 
@@ -249,12 +240,7 @@ func (c *Core) complete(val uint64) {
 		c.tl.Span(trace.CoreTrack(c.id), opSpanNames[c.curOp.kind], c.opStart, c.eng.Now(), 0, c.curOp.addr)
 	}
 	c.breakdown.Add(c.curOp.region, c.eng.Now()-c.opStart)
-	select {
-	case c.resCh <- val:
-	case <-c.abort:
-		c.done = true
-		return
-	}
+	c.res = val
 	c.nextOp()
 }
 
@@ -281,16 +267,10 @@ func glArriveCB(recv, _ any, _, _ uint64) {
 // rangeFireCB issues the pending range miss after its accumulated hit run.
 func rangeFireCB(recv, _ any, _, _ uint64) { recv.(*Core).rangeFire() }
 
-// nextOp pulls the next operation from the program and executes it.
+// nextOp resumes the program until it issues its next operation, and
+// executes that operation.
 func (c *Core) nextOp() {
-	var o op
-	var ok bool
-	select {
-	case o, ok = <-c.opCh:
-	case <-c.abort:
-		c.done = true
-		return
-	}
+	o, ok := c.next()
 	if !ok {
 		c.done = true
 		return
@@ -418,12 +398,7 @@ func (c *Core) GLRelease() {
 	c.glPending = false
 	c.tl.Span(trace.CoreTrack(c.id), spanOpBarrier, c.pendStart, c.eng.Now(), 0, uint64(c.curOp.barrierCtx))
 	c.breakdown.Add(c.curOp.region, c.eng.Now()-c.pendStart)
-	select {
-	case c.resCh <- 0:
-	case <-c.abort:
-		c.done = true
-		return
-	}
+	c.res = 0
 	c.nextOp()
 }
 
@@ -506,19 +481,16 @@ func (s Status) String() string {
 }
 
 // Ctx is the interface a Program uses to issue operations. It is only valid
-// inside the program's goroutine.
+// inside the program's own body.
 type Ctx struct {
 	core   *Core
 	region stats.Region
 }
 
-// do hands one operation to the core's pipeline and blocks the program
-// goroutine until the engine has timed it. The channel rendezvous below is
-// the one sanctioned crossing between program goroutines and the cycle
-// engine: opCh/resCh are unbuffered, so the handshake is synchronous with
-// the core's tick and introduces no scheduling nondeterminism.
-//
-//lint:allow cyclepure op rendezvous is the synchronous core-program bridge
+// do hands one operation to the core's pipeline: it suspends the program
+// with the op and returns the result the core left once the engine has
+// timed it. When the core is aborted yield returns false, and do unwinds
+// the program with errAborted.
 func (x *Ctx) do(o op) uint64 {
 	o.region = x.region
 	// Outside synchronization regions, memory stall time is attributed to
@@ -533,17 +505,10 @@ func (x *Ctx) do(o op) uint64 {
 			o.region = stats.RegionWrite
 		}
 	}
-	select {
-	case x.core.opCh <- o:
-	case <-x.core.abort:
+	if !x.core.yield(o) {
 		panic(errAborted)
 	}
-	select {
-	case v := <-x.core.resCh:
-		return v
-	case <-x.core.abort:
-		panic(errAborted)
-	}
+	return x.core.res
 }
 
 // CoreID returns the executing core's tile index.

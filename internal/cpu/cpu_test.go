@@ -195,6 +195,29 @@ func TestAbortUnwindsProgram(t *testing.T) {
 	}
 }
 
+// TestAbortBeforeFirstOp aborts a core before the engine first resumes its
+// program: the body never runs, and the core finishes cleanly on the next
+// step.
+func TestAbortBeforeFirstOp(t *testing.T) {
+	h, _ := newCPUHarness(t)
+	ran := false
+	h.core.Start(func(c *Ctx) {
+		ran = true
+		c.Compute(1)
+	})
+	h.core.Abort()
+	h.eng.Step()
+	if ran {
+		t.Error("aborted program body ran")
+	}
+	if !h.core.Done() {
+		t.Error("aborted core not done after one step")
+	}
+	if err := h.core.Err(); err != nil {
+		t.Errorf("aborted core failed: %v", err)
+	}
+}
+
 func TestSpinUntilEqWakesOnWrite(t *testing.T) {
 	eng := engine.New()
 	cfg := config.Default(4)

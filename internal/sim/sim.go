@@ -257,7 +257,8 @@ func firstN(n int) []int {
 }
 
 // Launch starts one program per core, programs[i] on core i. Fewer
-// programs than cores leaves the remaining cores idle.
+// programs than cores leaves the remaining cores idle. An invalid slice
+// starts no core.
 func (s *System) Launch(programs []cpu.Program) error {
 	if len(programs) > len(s.Cores) {
 		return fmt.Errorf("sim: %d programs for %d cores", len(programs), len(s.Cores))
@@ -266,6 +267,8 @@ func (s *System) Launch(programs []cpu.Program) error {
 		if p == nil {
 			return fmt.Errorf("sim: nil program for core %d", i)
 		}
+	}
+	for i, p := range programs {
 		s.Cores[i].Start(p)
 	}
 	s.launched = len(programs)
@@ -305,8 +308,9 @@ func (s *System) Run(maxCycles uint64) (*Report, error) {
 	return rep, err
 }
 
-// Close unwinds any program goroutines still blocked (after an error or
-// cycle-budget exhaustion).
+// Close unwinds any programs still suspended mid-op (after an error or
+// cycle-budget exhaustion); each has finished unwinding, deferred calls
+// included, when Close returns.
 func (s *System) Close() {
 	for i := 0; i < s.launched; i++ {
 		s.Cores[i].Abort()

@@ -145,6 +145,18 @@ func TestLaunchValidation(t *testing.T) {
 	if err := s.Launch([]cpu.Program{nil}); err == nil {
 		t.Error("nil program accepted")
 	}
+	// A nil program after a valid one must start no core, so a corrected
+	// launch still succeeds and runs.
+	prog := func(c *cpu.Ctx) { c.Compute(10) }
+	if err := s.Launch([]cpu.Program{prog, nil}); err == nil {
+		t.Error("nil second program accepted")
+	}
+	if err := s.Launch([]cpu.Program{prog, prog}); err != nil {
+		t.Fatalf("launch after a rejected one: %v", err)
+	}
+	if _, err := s.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCycleBudgetExhaustionReported(t *testing.T) {
@@ -165,6 +177,37 @@ func TestCycleBudgetExhaustionReported(t *testing.T) {
 		t.Error("partial report missing")
 	}
 	s.Close()
+}
+
+// TestCloseUnwindsPrograms checks that Close unwinds every program still
+// suspended mid-op before it returns: each program's deferred calls have
+// run by then.
+func TestCloseUnwindsPrograms(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		s := newTestSystem(t, 4)
+		var unwound [3]bool
+		progs := make([]cpu.Program, len(unwound))
+		for i := range progs {
+			progs[i] = func(c *cpu.Ctx) {
+				defer func() { unwound[i] = true }()
+				for {
+					c.Compute(100)
+				}
+			}
+		}
+		if err := s.Launch(progs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(5_000); err == nil {
+			t.Fatal("expected budget error")
+		}
+		s.Close()
+		for i, ok := range unwound {
+			if !ok {
+				t.Fatalf("run %d: program %d still suspended after Close", run, i)
+			}
+		}
+	}
 }
 
 func TestDeadlockDetected(t *testing.T) {

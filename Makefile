@@ -23,7 +23,8 @@ lint: vet glvet
 	fi
 
 # Alloc regression gates: the AllocsPerRun tests pinning zero steady-state
-# allocation on the engine/noc/coherence/cpu cycle paths and the disabled
+# allocation on the engine/noc/coherence/cpu cycle paths (the engine's
+# overflow tier included) and the disabled
 # span-emit path, the allocation bound on building a 32-core system, plus
 # the allocfree static check over //glvet:cyclepath functions. See
 # DESIGN.md §10.
@@ -55,13 +56,14 @@ serve-smoke:
 serve-chaos-smoke:
 	go test -race -count=1 ./internal/hostchaos/
 
-# Ten-second fuzz smoke per target — the fault-plan parser, the cache model
-# and the G-line barrier schedule: catches regressions without a dedicated
-# fuzzing job.
+# Ten-second fuzz smoke per target — the fault-plan parser, the cache model,
+# the G-line barrier schedule and the engine's event queue against a sorted
+# reference: catches regressions without a dedicated fuzzing job.
 fuzz-smoke:
 	go test -fuzz=FuzzParsePlan -fuzztime=10s -run '^$$' ./internal/fault
 	go test -fuzz=FuzzCacheOperations -fuzztime=10s -run '^$$' ./internal/cache
 	go test -fuzz=FuzzBarrierSchedule -fuzztime=10s -run '^$$' ./internal/core
+	go test -fuzz=FuzzEngineSchedule -fuzztime=10s -run '^$$' ./internal/engine
 
 # Chaos smoke: replay the minimized-reproducer corpus (pinned oracle
 # verdicts), then explore a small fixed-seed campaign under every protocol

@@ -160,3 +160,38 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// TestZeroAllocOverflowMigration gates the calendar's overflow tier: events
+// scheduled a window or more ahead wait in the heap, move into their
+// buckets as the clock reaches them (by Step and by Run's fast-forward),
+// and dispatch without allocating once warm.
+func TestZeroAllocOverflowMigration(t *testing.T) {
+	e := New()
+	drained := func() bool { return e.Pending() == 0 }
+	round := func() {
+		e.CallAfter(window, nopCB, e, nil, 0, 0)
+		e.CallAfter(window+1, nopCB, e, nil, 0, 0)
+		for i := 0; i < window+2; i++ {
+			e.Step()
+		}
+		e.CallAfter(window+37, nopCB, e, nil, 0, 0)
+		e.CallAfter(300, nopCB, e, nil, 0, 0)
+		if _, err := e.Run(e.Now()+1000, drained); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	before := e.Metrics().Snapshot().Counters[metricEventsExecuted]
+	allocs := testing.AllocsPerRun(200, round)
+	if allocs != 0 {
+		t.Fatalf("overflow schedule+migrate+dispatch allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := e.Metrics().Snapshot().Counters[metricEventsExecuted] - before; got != 4*201 {
+		t.Fatalf("%d events ran, want %d", got, 4*201)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("queue not drained after gate: %d pending", e.Pending())
+	}
+}

@@ -13,15 +13,19 @@
 // stepping").
 //
 // The queue is built for zero steady-state allocation (DESIGN.md §10):
-// events live in a slab recycled through an intrusive free list, the
-// priority queue is a 4-ary min-heap of small (cycle, seq, slot) keys that
-// never boxes through interfaces, and hot callers schedule typed Callbacks
-// whose operands are pointer-shaped (so the any fields don't allocate
-// either). The closure-based At/After remain for cold paths and tests.
+// events live in a slab recycled through an intrusive free list, and hot
+// callers schedule typed Callbacks whose operands are pointer-shaped (so
+// the any fields don't allocate either). The queue itself is a calendar
+// (R. Brown, CACM 31(10), 1988): an event due within the next window
+// cycles joins the FIFO bucket of its cycle, chained through the slab, and
+// only later events wait in a 4-ary min-heap of small (cycle, seq, slot)
+// keys until their cycle enters the window. The closure-based At/After
+// remain for cold paths and tests.
 package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/metrics"
@@ -38,9 +42,10 @@ const spanEngineFF = "engine.ff"
 // convert to `any` without allocating; integer operands ride in a and b.
 type Callback func(recv, obj any, a, b uint64)
 
-// event is one slot of the engine's event slab. A slot is live between
-// Call and its dispatch (or Cancel + dispatch of the dead heap entry);
-// free slots chain through next.
+// event is one slot of the engine's event slab. A slot is queued between
+// Call and its dispatch (or Cancel + dispatch of the dead entry); next
+// chains a queued slot to the one behind it in its bucket, and a free slot
+// to the next free one.
 type event struct {
 	cycle uint64
 	seq   uint64
@@ -48,12 +53,17 @@ type event struct {
 	recv  any
 	obj   any
 	a, b  uint64
-	next  int32 // free-list link while the slot is unused
+	next  int32
 }
 
-// heapEntry mirrors one queued event in the priority queue. Keeping the
-// ordering key outside the slab means sift compares never touch event
-// payloads, and the heap never holds pointers.
+// window is the calendar's span in cycles: an event due before
+// now+window sits in bucket cycle&(window-1), a later one in the overflow
+// heap. Nearly every event lands 1–15 cycles ahead.
+const window = 64
+
+// heapEntry mirrors one overflow event in the heap. Keeping the ordering
+// key outside the slab means sift compares never touch event payloads,
+// and the heap never holds pointers.
 type heapEntry struct {
 	cycle uint64
 	seq   uint64
@@ -122,12 +132,21 @@ func (w Waker) Now() uint64 {
 
 // Engine is the deterministic simulation core.
 type Engine struct {
-	now  uint64
-	seq  uint64
-	slab []event
-	free int32 // head of the slot free list, -1 when empty
-	heap []heapEntry
-	live int // scheduled events not yet dispatched or cancelled
+	now uint64
+	// floor is the earliest cycle Call accepts: now, or now+1 once the
+	// current cycle's events have run.
+	floor uint64
+	seq   uint64
+	slab  []event
+	free  int32 // head of the slot free list, -1 when empty
+
+	// The calendar: head[i]/tail[i] chain, in seq order, the events of the
+	// one cycle in [now, now+window) that maps to bucket i, and bit i of
+	// full marks bucket i non-empty. heap holds the events due later.
+	head, tail [window]int32
+	full       uint64
+	heap       []heapEntry
+	live       int // scheduled events not yet dispatched or cancelled
 
 	// comps are the registered components in tick order; due[i] is the
 	// cycle comps[i] is next ticked on (Never while it sleeps), and
@@ -164,6 +183,9 @@ const (
 // New returns an Engine at cycle 0 with an empty event queue.
 func New() *Engine {
 	e := &Engine{reg: metrics.NewRegistry(), free: -1, seq: 1, nextDue: Never}
+	for i := range e.head {
+		e.head[i] = -1
+	}
 	e.executed = e.reg.Counter(metricEventsExecuted)
 	e.peakQueue = e.reg.Gauge(metricQueueDepth)
 	e.ffJumps = e.reg.Counter(metricFastforwardJumps)
@@ -200,11 +222,16 @@ func (e *Engine) After(delay uint64, fn func()) { e.Call(e.now+delay, callFunc, 
 // returns the event's id for Cancel. This is the allocation-free
 // scheduling path: the event occupies a recycled slab slot and recv/obj
 // only avoid boxing when they hold pointer-shaped values. Scheduling in
-// the past panics, as with At.
+// the past panics, as with At, and so does scheduling on the current
+// cycle once its events have run (from a component's Tick): nothing would
+// ever dispatch it.
 //
 //glvet:cyclepath
 func (e *Engine) Call(cycle uint64, cb Callback, recv, obj any, a, b uint64) EventID {
-	if cycle < e.now {
+	if cycle < e.floor {
+		if cycle == e.now {
+			panic(fmt.Sprintf("engine: scheduling at cycle %d after its events ran", cycle))
+		}
 		panic(fmt.Sprintf("engine: scheduling at cycle %d, now %d", cycle, e.now))
 	}
 	if cb == nil {
@@ -222,7 +249,11 @@ func (e *Engine) Call(cycle uint64, cb Callback, recv, obj any, a, b uint64) Eve
 	ev.cycle, ev.seq = cycle, e.seq
 	ev.cb, ev.recv, ev.obj = cb, recv, obj
 	ev.a, ev.b = a, b
-	e.push(heapEntry{cycle: cycle, seq: e.seq, idx: idx})
+	if cycle-e.now < window {
+		e.enqueue(cycle, idx)
+	} else {
+		e.push(heapEntry{cycle: cycle, seq: e.seq, idx: idx})
+	}
 	id := EventID{idx: idx, seq: e.seq}
 	e.seq++
 	e.live++
@@ -240,8 +271,8 @@ func (e *Engine) CallAfter(delay uint64, cb Callback, recv, obj any, a, b uint64
 // Cancel revokes a scheduled event. It reports whether the event was still
 // pending (false for already-dispatched, already-cancelled, or foreign
 // ids). Cancellation is lazy: the slot is cleared immediately so the
-// callback and its operands drop their references, and the dead heap entry
-// is discarded when its cycle drains. Cancelled events do not count as
+// callback and its operands drop their references, and the dead entry
+// stays queued until its cycle drains. Cancelled events do not count as
 // executed and do not disturb the (cycle, seq) order of live ones.
 func (e *Engine) Cancel(id EventID) bool {
 	if id.idx < 0 || int(id.idx) >= len(e.slab) {
@@ -281,7 +312,14 @@ func (e *Engine) PendingByCycle(limit int) []CyclePending {
 	if e.live == 0 {
 		return nil
 	}
-	cycles := make([]uint64, 0, len(e.heap))
+	cycles := make([]uint64, 0, e.live)
+	for full := e.full; full != 0; full &= full - 1 {
+		for idx := e.head[bits.TrailingZeros64(full)]; idx >= 0; idx = e.slab[idx].next {
+			if e.slab[idx].cb != nil {
+				cycles = append(cycles, e.slab[idx].cycle)
+			}
+		}
+	}
 	for _, he := range e.heap {
 		if e.slab[he.idx].cb == nil {
 			continue // cancelled, still awaiting its cycle
@@ -301,6 +339,49 @@ func (e *Engine) PendingByCycle(limit int) []CyclePending {
 		out = append(out, CyclePending{Cycle: c, Count: 1})
 	}
 	return out
+}
+
+// enqueue appends slot idx to the bucket of cycle, which must lie in
+// [now, now+window). Its seq is the largest queued for that cycle, so each
+// bucket stays in seq order.
+//
+//glvet:cyclepath
+func (e *Engine) enqueue(cycle uint64, idx int32) {
+	b := cycle & (window - 1)
+	e.slab[idx].next = -1
+	if e.head[b] < 0 {
+		e.head[b] = idx
+		e.full |= 1 << b
+	} else {
+		e.slab[e.tail[b]].next = idx
+	}
+	e.tail[b] = idx
+}
+
+// advance moves the clock to cycle to and moves the overflow events whose
+// cycle has entered the window into their buckets, in (cycle, seq) order,
+// before any Call can reach those cycles directly.
+//
+//glvet:cyclepath
+func (e *Engine) advance(to uint64) {
+	e.now, e.floor = to, to
+	for len(e.heap) > 0 && e.heap[0].cycle-to < window {
+		cycle := e.heap[0].cycle
+		e.enqueue(cycle, e.pop())
+	}
+}
+
+// root returns the earliest cycle holding a queued event, live or
+// cancelled, or Never when the queue is empty.
+func (e *Engine) root() uint64 {
+	if e.full != 0 {
+		off := e.now & (window - 1)
+		return e.now + uint64(bits.TrailingZeros64(bits.RotateLeft64(e.full, -int(off))))
+	}
+	if len(e.heap) > 0 {
+		return e.heap[0].cycle
+	}
+	return Never
 }
 
 // entryLess orders heap entries by (cycle, seq): same-cycle events run in
@@ -369,13 +450,16 @@ func (e *Engine) pop() int32 {
 //glvet:cyclepath
 func (e *Engine) Step() {
 	e.dispatch()
+	e.floor = e.now + 1
 	if e.nextDue <= e.now {
 		e.tick()
 	}
-	e.now++
+	e.advance(e.now + 1)
 }
 
-// dispatch runs the events due at the current cycle.
+// dispatch runs the events due at the current cycle: it drains the
+// current cycle's bucket front to back, including events appended to it
+// by the callbacks it runs.
 //
 // A slot is returned to the free list before its callback runs, so the
 // callback's own scheduling reuses it immediately; ordering is untouched
@@ -383,9 +467,11 @@ func (e *Engine) Step() {
 //
 //glvet:cyclepath
 func (e *Engine) dispatch() {
-	for len(e.heap) > 0 && e.heap[0].cycle == e.now {
-		idx := e.pop()
+	bk := e.now & (window - 1)
+	for e.head[bk] >= 0 {
+		idx := e.head[bk]
 		ev := &e.slab[idx]
+		e.head[bk] = ev.next
 		cb, recv, obj, a, b := ev.cb, ev.recv, ev.obj, ev.a, ev.b
 		ev.cb, ev.recv, ev.obj = nil, nil, nil
 		ev.next = e.free
@@ -397,6 +483,7 @@ func (e *Engine) dispatch() {
 		cb(recv, obj, a, b)
 		e.executed.Inc()
 	}
+	e.full &^= 1 << bk
 }
 
 // tick runs the components due at the current cycle, in registration
@@ -420,17 +507,13 @@ func (e *Engine) tick() {
 	}
 }
 
-// nextWork returns the earliest cycle anything is scheduled for: the heap
-// root (live or cancelled — Step only drains the root's own cycle, so no
-// jump may pass it) or the next component wake (possibly stale: a
+// nextWork returns the earliest cycle anything is scheduled for: the
+// queue's root (live or cancelled — Step only drains the root's own cycle,
+// so no jump may pass it) or the next component wake (possibly stale: a
 // component ticked on a cycle it no longer needs does a no-op step).
 // Never when neither exists.
 func (e *Engine) nextWork() uint64 {
-	next := e.nextDue
-	if len(e.heap) > 0 && e.heap[0].cycle < next {
-		next = e.heap[0].cycle
-	}
-	return next
+	return min(e.nextDue, e.root())
 }
 
 // busy reports whether any component holds work in flight.
@@ -443,12 +526,13 @@ func (e *Engine) busy() bool {
 	return false
 }
 
-// jump fast-forwards the clock to cycle to.
+// jump fast-forwards the clock to cycle to, which must not pass the
+// queue's root.
 func (e *Engine) jump(to uint64) {
 	e.ffJumps.Inc()
 	e.ffCycles.Add(to - e.now)
 	e.tl.Instant(trace.EngineTrack(), spanEngineFF, e.now, 0, to-e.now)
-	e.now = to
+	e.advance(to)
 }
 
 // Run drives the simulation until done() reports true or no work remains or
@@ -492,7 +576,7 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 			// Nothing happens until the next event: jump. (The root may be
 			// a cancelled entry at an earlier cycle; the jump then lands on
 			// it, Step discards it, and the next iteration jumps again.)
-			if root := e.heap[0].cycle; root > e.now {
+			if root := e.root(); root > e.now {
 				e.jump(root)
 			}
 			continue

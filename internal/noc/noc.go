@@ -13,7 +13,8 @@
 // holding packets and each one's next-ready cycle, and a tick visits only
 // the routers due that cycle, in ascending node order — the order a full
 // scan would have done their work in — so its cost follows traffic, not
-// mesh size.
+// mesh size. Within a router, a visit touches only the occupied port
+// queues, again in ascending port order.
 package noc
 
 import (
@@ -102,10 +103,11 @@ type router struct {
 	// txFlits counts flit-cycles of occupancy per output port, for the
 	// link-utilization report.
 	txFlits [numPorts]uint64
-	// held counts the packets queued in the router; readyAt is the
-	// earliest cycle it may have work, meaningful while held > 0.
-	held    int
-	readyAt uint64
+	// Bit p of inMask (outMask) is set while in[p] (out[p]) holds a
+	// packet; readyAt is the earliest cycle the router may have work,
+	// meaningful while either mask is non-zero.
+	inMask, outMask uint8
+	readyAt         uint64
 }
 
 // Metric names registered by the mesh. Per-class latency histograms are
@@ -125,7 +127,7 @@ type Mesh struct {
 	routers            []router
 	sink               func(dst int, p *Packet)
 
-	// occupied is a bitset over routers with held > 0, scanned in word
+	// occupied is a bitset over routers holding packets, scanned in word
 	// order so due routers are visited in ascending node order.
 	occupied []uint64
 
@@ -314,7 +316,7 @@ func (m *Mesh) Tick(cycle uint64) uint64 {
 			if r.readyAt <= cycle {
 				m.routerSteps.Inc()
 				m.step(node, r, cycle)
-				if r.held == 0 {
+				if r.inMask|r.outMask == 0 {
 					m.occupied[w] &^= 1 << (node & 63)
 					continue
 				}
@@ -327,24 +329,31 @@ func (m *Mesh) Tick(cycle uint64) uint64 {
 	return next
 }
 
-// step runs one router's cycle and recomputes its next-ready cycle.
+// step runs one router's cycle and recomputes its next-ready cycle. Each
+// stage visits the occupied queues only, in ascending port order.
 //
 //glvet:cyclepath
 func (m *Mesh) step(node int, r *router, cycle uint64) {
-	for port := 0; port < numPorts; port++ {
+	for set := r.inMask; set != 0; set &= set - 1 {
+		port := bits.TrailingZeros8(set)
 		q := &r.in[port]
-		if q.n == 0 || q.front().readyAt > cycle {
+		if q.front().readyAt > cycle {
 			continue
 		}
-		e := *q.front()
+		p := q.front().p
 		q.pop()
-		outPort := m.route(node, e.p.Dst)
-		r.out[outPort].push(entry{p: e.p, readyAt: cycle + m.routerLat})
+		if q.n == 0 {
+			r.inMask &^= 1 << port
+		}
+		outPort := m.route(node, p.Dst)
+		r.out[outPort].push(entry{p: p, readyAt: cycle + m.routerLat})
+		r.outMask |= 1 << outPort
 		m.queuePeak.Set(uint64(r.out[outPort].n))
 	}
-	for port := 0; port < numPorts; port++ {
+	for set := r.outMask; set != 0; set &= set - 1 {
+		port := bits.TrailingZeros8(set)
 		q := &r.out[port]
-		if q.n == 0 || q.front().readyAt > cycle || r.busyUntil[port] > cycle {
+		if q.front().readyAt > cycle || r.busyUntil[port] > cycle {
 			continue
 		}
 		if port != portLocal && m.inj.LinkDown(cycle, node, port) {
@@ -354,7 +363,9 @@ func (m *Mesh) step(node int, r *router, cycle uint64) {
 		}
 		e := *q.front()
 		q.pop()
-		r.held--
+		if q.n == 0 {
+			r.outMask &^= 1 << port
+		}
 		flits := uint64(e.p.Flits)
 		if port == portLocal {
 			r.busyUntil[port] = cycle + flits
@@ -385,14 +396,15 @@ func (m *Mesh) step(node int, r *router, cycle uint64) {
 	// a second packet behind one moved this cycle, or a port held by a
 	// link-down — retries on the next cycle.
 	ready := engine.Never
-	for port := 0; port < numPorts; port++ {
-		if q := &r.in[port]; q.n > 0 && q.front().readyAt < ready {
-			ready = q.front().readyAt
+	for set := r.inMask; set != 0; set &= set - 1 {
+		if at := r.in[bits.TrailingZeros8(set)].front().readyAt; at < ready {
+			ready = at
 		}
-		if q := &r.out[port]; q.n > 0 {
-			if at := max(q.front().readyAt, r.busyUntil[port]); at < ready {
-				ready = at
-			}
+	}
+	for set := r.outMask; set != 0; set &= set - 1 {
+		port := bits.TrailingZeros8(set)
+		if at := max(r.out[port].front().readyAt, r.busyUntil[port]); at < ready {
+			ready = at
 		}
 	}
 	r.readyAt = max(ready, cycle+1)
@@ -407,10 +419,10 @@ func (m *Mesh) enqueue(node, inPort int, p *Packet) {
 	r := &m.routers[node]
 	r.in[inPort].push(entry{p: p, readyAt: now})
 	m.queuePeak.Set(uint64(r.in[inPort].n))
-	if r.held == 0 || now < r.readyAt {
+	if r.inMask|r.outMask == 0 || now < r.readyAt {
 		r.readyAt = now
 	}
-	r.held++
+	r.inMask |= 1 << inPort
 	m.occupied[node>>6] |= 1 << (node & 63)
 	m.wake.Wake()
 }

@@ -194,6 +194,9 @@ func RunPlan(cfg RunConfig, plan *hostfault.Plan) (*Outcome, error) {
 			}
 		}
 	}
+	// A job turns terminal just before its executor counts it, so read the
+	// counters once the drain has let every executor return.
+	drainServer(srv, 10*time.Second)
 	out.Counters = srv.Stats().Counters
 	out.Fired = srv.FiredFaults()
 	return out, nil

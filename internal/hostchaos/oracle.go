@@ -26,7 +26,8 @@ func (v Violation) String() string { return v.Key() + ": " + v.Detail }
 
 // Oracle names.
 const (
-	// OracleAccounting: no lost, duplicated or non-terminal jobs.
+	// OracleAccounting: no lost, duplicated or non-terminal jobs, and
+	// every job counted once under its terminal state.
 	OracleAccounting = "accounting"
 	// OracleMonotonic: terminal states never change.
 	OracleMonotonic = "monotonic"
@@ -67,6 +68,12 @@ func checkAccounting(cfg RunConfig, out *Outcome) []Violation {
 			vs = append(vs, Violation{OracleAccounting, "non-terminal",
 				fmt.Sprintf("job %s ended the run in state %s", j.ID, j.State)})
 		}
+	}
+	c := out.Counters
+	if ended := c[serve.MetricJobsDone] + c[serve.MetricJobsFailed] + c[serve.MetricJobsCanceled]; ended != c[serve.MetricJobsSubmitted] {
+		vs = append(vs, Violation{OracleAccounting, "job-miscount",
+			fmt.Sprintf("done %d + failed %d + canceled %d != submitted %d",
+				c[serve.MetricJobsDone], c[serve.MetricJobsFailed], c[serve.MetricJobsCanceled], c[serve.MetricJobsSubmitted])})
 	}
 	return vs
 }

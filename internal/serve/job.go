@@ -266,12 +266,12 @@ func (j *job) finishCell(i int, e *Entry, cached, shared bool, err error) {
 }
 
 // finish moves the job to a terminal state (first transition wins) and
-// releases waiters.
-func (j *job) finish(state JobState, errMsg string) {
+// releases waiters. It reports whether this call made the transition.
+func (j *job) finish(state JobState, errMsg string) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.state = state
 	if errMsg != "" {
@@ -288,6 +288,7 @@ func (j *job) finish(state JobState, errMsg string) {
 		onFinish(state, errMsg)
 	}
 	close(j.finished)
+	return true
 }
 
 // cellResult is one cell's slice of a job result document.

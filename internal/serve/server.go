@@ -107,11 +107,7 @@ func (o Options) sseHeartbeat() time.Duration {
 // internal/metrics registry (guarded by a mutex — the registry itself is
 // single-threaded by contract) and out via GET /v1/stats.
 const (
-	metricJobsSubmitted = "serve.jobs.submitted"
 	metricJobsRejected  = "serve.jobs.rejected"
-	metricJobsDone      = "serve.jobs.done"
-	metricJobsFailed    = "serve.jobs.failed"
-	metricJobsCanceled  = "serve.jobs.canceled"
 	metricJobsQueued    = "serve.jobs.queued"
 	metricJobsRunning   = "serve.jobs.running"
 	metricCacheHits     = "serve.cache.hits"
@@ -123,6 +119,20 @@ const (
 	metricCellsFailed   = "serve.cells.failed"
 	metricQueueWaitMs   = "serve.queue.wait_ms"
 	metricCellRunMs     = "serve.cell.run_ms"
+)
+
+// Job accounting metric names, exported for the hostchaos accounting
+// oracle: once every job has ended, done + failed + canceled == submitted.
+const (
+	// MetricJobsSubmitted counts accepted job submissions.
+	MetricJobsSubmitted = "serve.jobs.submitted"
+	// MetricJobsDone counts jobs that finished with every cell done.
+	MetricJobsDone = "serve.jobs.done"
+	// MetricJobsFailed counts jobs that finished with a failed cell.
+	MetricJobsFailed = "serve.jobs.failed"
+	// MetricJobsCanceled counts jobs canceled by a client or a forced
+	// drain.
+	MetricJobsCanceled = "serve.jobs.canceled"
 )
 
 // Self-healing metric names, exported for cross-package reads (the
@@ -199,11 +209,11 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	return &serverMetrics{
-		jobsSubmitted: reg.Counter(metricJobsSubmitted),
+		jobsSubmitted: reg.Counter(MetricJobsSubmitted),
 		jobsRejected:  reg.Counter(metricJobsRejected),
-		jobsDone:      reg.Counter(metricJobsDone),
-		jobsFailed:    reg.Counter(metricJobsFailed),
-		jobsCanceled:  reg.Counter(metricJobsCanceled),
+		jobsDone:      reg.Counter(MetricJobsDone),
+		jobsFailed:    reg.Counter(MetricJobsFailed),
+		jobsCanceled:  reg.Counter(MetricJobsCanceled),
 		cacheHits:     reg.Counter(metricCacheHits),
 		cacheMisses:   reg.Counter(metricCacheMisses),
 		cacheEvicted:  reg.Counter(metricCacheEvicted),
@@ -479,9 +489,27 @@ func (s *Server) Cancel(id string) bool {
 	}
 	j.cancel()
 	// A queued job never reaches its executor slot's finish path, so it is
-	// finalized here; a running one is finalized by runJob.
-	j.finish(StateCanceled, "canceled by client")
-	s.count(s.m.jobsCanceled, 1)
+	// finalized here; so is a running one, whose runJob then finds it
+	// terminal.
+	return s.finish(j, StateCanceled, "canceled by client")
+}
+
+// finish moves j to a terminal state and counts it under that state. A job
+// reaches a terminal state once, whichever path gets there first (client
+// cancel, its executor, a forced drain), so it is counted once and
+// done + failed + canceled == submitted once every job has ended.
+func (s *Server) finish(j *job, state JobState, errMsg string) bool {
+	if !j.finish(state, errMsg) {
+		return false
+	}
+	switch state {
+	case StateDone:
+		s.count(s.m.jobsDone, 1)
+	case StateFailed:
+		s.count(s.m.jobsFailed, 1)
+	case StateCanceled:
+		s.count(s.m.jobsCanceled, 1)
+	}
 	return true
 }
 
@@ -560,18 +588,14 @@ func (s *Server) runJob(j *job) {
 		Ctx:  j.ctx,
 	}, specs)
 
-	if err := j.ctx.Err(); err != nil {
-		j.finish(StateCanceled, "canceled")
-		s.count(s.m.jobsCanceled, 1)
-		return
+	switch err := sweep.Errs(results); {
+	case j.ctx.Err() != nil:
+		s.finish(j, StateCanceled, "canceled")
+	case err != nil:
+		s.finish(j, StateFailed, err.Error())
+	default:
+		s.finish(j, StateDone, "")
 	}
-	if err := sweep.Errs(results); err != nil {
-		j.finish(StateFailed, err.Error())
-		s.count(s.m.jobsFailed, 1)
-		return
-	}
-	j.finish(StateDone, "")
-	s.count(s.m.jobsDone, 1)
 }
 
 // resolveCell produces one cell's result: cache lookup, quarantine
@@ -646,7 +670,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		s.cond.Broadcast()
 		for _, j := range pending {
-			j.finish(StateCanceled, "server shutdown")
+			s.finish(j, StateCanceled, "server shutdown")
 		}
 		for _, j := range all {
 			j.cancel()

@@ -304,6 +304,45 @@ func TestCancelMidJob(t *testing.T) {
 	if resp2.StatusCode != http.StatusConflict {
 		t.Fatalf("double cancel: HTTP %d, want 409", resp2.StatusCode)
 	}
+	checkJobTotals(t, srv, 1)
+}
+
+// checkJobTotals drains srv, so every executor has returned, then requires
+// each of the submitted jobs to be counted exactly once under its
+// terminal state.
+func checkJobTotals(t *testing.T, srv *Server, submitted uint64) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	srv.Drain(ctx)
+	c := srv.Stats().Counters
+	done, failed, canceled := c[MetricJobsDone], c[MetricJobsFailed], c[MetricJobsCanceled]
+	if c[MetricJobsSubmitted] != submitted || done+failed+canceled != submitted {
+		t.Fatalf("submitted=%d done=%d failed=%d canceled=%d; want %d submitted, each counted once",
+			c[MetricJobsSubmitted], done, failed, canceled, submitted)
+	}
+}
+
+// TestForcedDrainCountsQueuedJobs: a drain whose context expires cancels
+// the running job and finishes the queued one as canceled; both count.
+func TestForcedDrainCountsQueuedJobs(t *testing.T) {
+	runner := newBlockingRunner(t)
+	srv, ts := testServer(t, Options{ConcurrentJobs: 1, CellWorkers: 1, Runner: runner.run})
+	running := postJob(t, ts.URL, "bench=SYNTH barrier=GL cores=8 tier=test")
+	<-runner.started
+	queued := postJob(t, ts.URL, "bench=SYNTH barrier=CSW cores=8 tier=test")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := srv.Drain(ctx); err == nil {
+		t.Fatal("drain with a blocked job returned nil, want the context error")
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if st := waitTerminal(t, srv, id); st.State != StateCanceled {
+			t.Fatalf("job %s after forced drain: %s, want canceled", id, st.State)
+		}
+	}
+	checkJobTotals(t, srv, 2)
 }
 
 // TestResultConflictBeforeTerminal asserts /result answers 409 while the
@@ -424,6 +463,7 @@ func TestDrain(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while drained: HTTP %d, want 503", code)
 	}
+	checkJobTotals(t, srv, 2)
 }
 
 // TestSubmitValidation: bad specs are rejected with 400 and counted.

@@ -87,11 +87,6 @@ func TestObservabilityDoesNotChangeFingerprints(t *testing.T) {
 	}
 }
 
-// hostWorkCounters are the per-layer host-work counters a report carries
-// outside the fingerprint: component ticks the engine ran, router visits
-// the mesh made, and G-line context steps.
-var hostWorkCounters = []string{"engine.ticks", "noc.router.steps", "gl.steps"}
-
 // TestHostWorkCountersRepeat pins the host-work counters as deterministic:
 // two fresh runs of a cell report them identically, so a change in host
 // work shows up bit for bit. Each counter must also be live on a cell that
@@ -113,7 +108,7 @@ func TestHostWorkCountersRepeat(t *testing.T) {
 				}
 				runs[i] = rep
 			}
-			for _, name := range hostWorkCounters {
+			for _, name := range workCounters {
 				a, b := runs[0].Metrics.Counters[name], runs[1].Metrics.Counters[name]
 				if a != b {
 					t.Errorf("%s differs between identical runs: %d vs %d", name, a, b)

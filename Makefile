@@ -69,7 +69,7 @@ fuzz-smoke:
 # verdicts), then explore a small fixed-seed campaign under every protocol
 # oracle. Deterministic and well under a minute; see DESIGN.md §9.
 chaos-smoke:
-	go test -short -run TestChaosCorpusReplay .
+	go test -run 'TestChaosCorpusReplay|TestChaosCampaignGolden' .
 	go run ./cmd/reproduce -seed 7 -budget 24 -corpus testdata/chaos-corpus chaos
 	go run ./cmd/reproduce -seed 7 -budget 24 chaos
 

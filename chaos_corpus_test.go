@@ -1,11 +1,16 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/fault"
 )
+
+// chaosGoldenPath pins the fixed-seed protocol campaign of `make
+// chaos-smoke`.
+const chaosGoldenPath = "testdata/chaos-campaign.golden"
 
 // TestChaosCorpusReplay replays every minimized reproducer under
 // testdata/chaos-corpus and pins its recorded oracle verdict: each plan
@@ -52,4 +57,36 @@ func TestChaosCorpusReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChaosCampaignGolden reruns the `make chaos-smoke` campaign (seed 7,
+// 24 plans, every oracle) and compares its counts and its minimized
+// findings with testdata/chaos-campaign.golden. TestCampaignIsDeterministic
+// only compares two runs of one build; this pins the generator, the
+// oracles and the minimizer across commits. Refresh after an intended
+// change with
+//
+//	go test -run TestChaosCampaignGolden -update .
+func TestChaosCampaignGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign-scale test; make chaos-smoke runs it")
+	}
+	rep, err := chaos.Campaign(chaos.CampaignConfig{Seed: 7, Budget: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := []string{fmt.Sprintf("campaign %d %d %d %d", rep.Runs, rep.Clean, rep.Tripped, rep.Errors)}
+	for i, f := range rep.Findings {
+		lines = append(lines, fmt.Sprintf("finding/%d %d %s %d %s", i, f.Index, f.Verdict.Key(), f.Shrink.Runs, f.Minimized))
+	}
+	if *updateGoldens {
+		writeGolden(t, chaosGoldenPath, "# Chaos campaign seed=7 budget=24 oracles=all (make chaos-smoke).\n"+
+			"# Regenerate with: go test -run TestChaosCampaignGolden -update .\n"+
+			"# campaign runs clean tripped errors\n"+
+			"# finding/<n> plan-index verdict shrink-runs minimized-plan\n", lines)
+		return
+	}
+	checkGolden(t, chaosGoldenPath, lines, func(key string, got, want []string) {
+		t.Errorf("%s: %v, golden %v — campaign changed; refresh with -update if intended", key, got, want)
+	})
 }

@@ -12,11 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// updateGoldens rewrites the committed fingerprints and host work from the
-// current run:
+// updateGoldens rewrites the committed fingerprints and host work, and the
+// pinned chaos campaign, from the current run:
 //
-//	go test -run TestGoldenFingerprints -update .
-var updateGoldens = flag.Bool("update", false, "rewrite testdata/fingerprints.golden and testdata/work.golden from this run")
+//	go test -run 'TestGoldenFingerprints|TestChaosCampaignGolden' -update .
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/fingerprints.golden, testdata/work.golden and testdata/chaos-campaign.golden from this run")
 
 const (
 	goldenPath     = "testdata/fingerprints.golden"

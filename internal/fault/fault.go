@@ -275,7 +275,7 @@ func NewInjector(p *Plan) *Injector {
 		j.watchRecheck = 2048
 	}
 	for s := Site(0); s < NumSites; s++ {
-		j.threshold[s] = rateToThreshold(p.Rates[s])
+		j.threshold[s] = RateToThreshold(p.Rates[s])
 	}
 	for _, e := range p.Events {
 		j.events[e.Site] = append(j.events[e.Site], e)
@@ -304,8 +304,9 @@ func (j *Injector) Bind(reg *metrics.Registry) {
 	}
 }
 
-// rateToThreshold scales a probability to a uint64 comparison threshold.
-func rateToThreshold(rate float64) uint64 {
+// RateToThreshold scales a probability to a uint64 comparison threshold:
+// a hash below it is a hit.
+func RateToThreshold(rate float64) uint64 {
 	if rate <= 0 {
 		return 0
 	}
@@ -315,9 +316,9 @@ func rateToThreshold(rate float64) uint64 {
 	return uint64(rate * float64(1<<63) * 2)
 }
 
-// mix is a splitmix64-style avalanche hash: the stateless random oracle
-// behind every rate decision.
-func mix(x uint64) uint64 {
+// Mix is a splitmix64-style avalanche hash: the stateless random oracle
+// behind every rate decision, here and in the job server's host faults.
+func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -336,7 +337,7 @@ func (j *Injector) hit(s Site, cycle, loc uint64) bool {
 		}
 	}
 	t := j.threshold[s]
-	return t != 0 && mix(j.seed^(uint64(s)+1)*0x9e3779b97f4a7c15^mix(cycle)^mix(loc^0xd1b54a32d192ed03)) < t
+	return t != 0 && Mix(j.seed^(uint64(s)+1)*0x9e3779b97f4a7c15^Mix(cycle)^Mix(loc^0xd1b54a32d192ed03)) < t
 }
 
 // eventK returns the miscount magnitude for (cycle, loc), honoring a
@@ -395,7 +396,7 @@ func (j *Injector) SampleLine(line, cycle uint64, n int) int {
 		j.record(SCSMAMiscount)
 		k := j.eventK(cycle, line)
 		// The hash's next bit picks the direction; undercounts clamp at 0.
-		if mix(j.seed^cycle^line^0xa0761d6478bd642f)&1 == 0 {
+		if Mix(j.seed^cycle^line^0xa0761d6478bd642f)&1 == 0 {
 			n += k
 		} else if n -= k; n < 0 {
 			n = 0

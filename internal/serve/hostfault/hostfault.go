@@ -7,7 +7,7 @@
 // this spill write fail?").
 //
 // Decisions are a pure function of (seed, site, key, opportunity index)
-// through the same splitmix-style hash internal/fault uses, where the key
+// through internal/fault's splitmix-style hash, fault.Mix, where the key
 // is a stable identity (a cell fingerprint, a spill path, a job id) and
 // the opportunity index counts that key's visits to the site. Same plan,
 // same call pattern per key: same faults — which is what lets the
@@ -26,6 +26,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/fault"
 )
 
 // Site identifies one class of injectable host fault.
@@ -211,19 +213,7 @@ func (p *Plan) String() string {
 	if p == nil {
 		return ""
 	}
-	toks := []string{fmt.Sprintf("seed=%d", p.Seed)}
-	for s := Site(0); s < NumSites; s++ {
-		if p.Rates[s] > 0 {
-			toks = append(toks, fmt.Sprintf("%s=%s", s, strconv.FormatFloat(p.Rates[s], 'g', -1, 64)))
-		}
-		if p.First[s] > 0 {
-			toks = append(toks, fmt.Sprintf("%s#%d", s, p.First[s]))
-		}
-	}
-	if p.SlowMillis > 0 {
-		toks = append(toks, fmt.Sprintf("slow.ms=%d", p.SlowMillis))
-	}
-	return strings.Join(toks, ",")
+	return p.render(p.Atoms())
 }
 
 // Atoms decomposes the plan into independently removable directives (the
@@ -245,12 +235,16 @@ func (p *Plan) Atoms() []string {
 // FromAtoms rebuilds a plan from a subset of Atoms, keeping this plan's
 // seed and slow.ms.
 func (p *Plan) FromAtoms(atoms []string) (*Plan, error) {
-	toks := []string{fmt.Sprintf("seed=%d", p.Seed)}
-	toks = append(toks, atoms...)
+	return ParsePlan(p.render(atoms))
+}
+
+// render joins atoms between this plan's seed and slow.ms directives.
+func (p *Plan) render(atoms []string) string {
+	toks := append([]string{fmt.Sprintf("seed=%d", p.Seed)}, atoms...)
 	if p.SlowMillis > 0 {
 		toks = append(toks, fmt.Sprintf("slow.ms=%d", p.SlowMillis))
 	}
-	return ParsePlan(strings.Join(toks, ","))
+	return strings.Join(toks, ",")
 }
 
 // Injector answers the server's host-fault questions for one compiled
@@ -294,41 +288,20 @@ func NewInjector(p *Plan) *Injector {
 		j.slowMs = DefaultSlowMillis
 	}
 	for s := Site(0); s < NumSites; s++ {
-		j.threshold[s] = rateToThreshold(p.Rates[s])
+		j.threshold[s] = fault.RateToThreshold(p.Rates[s])
 	}
 	return j
 }
 
-// rateToThreshold scales a probability to a uint64 comparison threshold.
-func rateToThreshold(rate float64) uint64 {
-	if rate <= 0 {
-		return 0
-	}
-	if rate >= 1 {
-		return ^uint64(0)
-	}
-	return uint64(rate * float64(1<<63) * 2)
-}
-
-// mix is the splitmix64-style avalanche hash behind every rate decision
-// (the same construction internal/fault uses).
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// hashKey folds a string key into the decision hash (FNV-1a then mix).
+// hashKey folds a string key into the decision hash (FNV-1a then
+// fault.Mix).
 func hashKey(key string) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return mix(h)
+	return fault.Mix(h)
 }
 
 // Hit decides — and consumes — one fault opportunity for site s at key.
@@ -346,7 +319,7 @@ func (j *Injector) Hit(s Site, key string) bool {
 	j.seen[k] = n + 1
 	hit := n < j.first[s]
 	if !hit && j.threshold[s] != 0 {
-		hit = mix(j.seed^(uint64(s)+1)*0x9e3779b97f4a7c15^hashKey(key)^mix(uint64(n))) < j.threshold[s]
+		hit = fault.Mix(j.seed^(uint64(s)+1)*0x9e3779b97f4a7c15^hashKey(key)^fault.Mix(uint64(n))) < j.threshold[s]
 	}
 	if hit {
 		j.fired[s]++

@@ -78,8 +78,9 @@ type CampaignReport struct {
 	Runs    int    `json:"runs"`
 	Clean   int    `json:"clean"`
 	Tripped int    `json:"tripped"`
-	// Errors counts machinery failures — sweep timeouts, config errors —
-	// that produced no verdict (not oracle trips, which are the point).
+	// Errors counts machinery failures — sweep timeouts, systems that
+	// could not be built or launched — that produced no verdict (not
+	// oracle trips, which are the point).
 	Errors   int       `json:"errors"`
 	Findings []Finding `json:"findings,omitempty"`
 }
@@ -135,9 +136,9 @@ func Campaign(cfg CampaignConfig) (*CampaignReport, error) {
 		specs[i] = sweep.Spec{
 			Label: fmt.Sprintf("chaos-%04d", i),
 			Run: func() (*sim.Report, error) {
-				out := RunPlan(cfg.Run, plans[i])
+				out, err := runPlan(cfg.Run, plans[i])
 				table.put(i, out)
-				return out.Report, nil
+				return out.Report, err
 			},
 		}
 	}

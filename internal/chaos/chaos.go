@@ -99,30 +99,11 @@ func (c RunConfig) barriers() uint64 {
 type Outcome struct {
 	Report     *sim.Report `json:"report,omitempty"`
 	RunErr     string      `json:"run_err,omitempty"`
-	Violations []Violation `json:"violations,omitempty"`
+	Violations `json:"violations,omitempty"`
 	// Timeline is the run's span timeline when RunConfig.TraceCapacity
 	// asked for one; export it with Timeline.WriteChrome. Not serialized —
 	// the Chrome trace file is the artifact format.
 	Timeline *trace.Timeline `json:"-"`
-}
-
-// Tripped returns the first violation, or nil when every oracle held.
-func (o Outcome) Tripped() *Violation {
-	if len(o.Violations) == 0 {
-		return nil
-	}
-	return &o.Violations[0]
-}
-
-// Matches reports whether any violation has the target's oracle and kind —
-// the "same failure" test ddmin reduces against.
-func (o Outcome) Matches(target Violation) bool {
-	for _, v := range o.Violations {
-		if v.Oracle == target.Oracle && v.Kind == target.Kind {
-			return true
-		}
-	}
-	return false
 }
 
 // RunPlan executes the synthetic barrier loop under the given fault plan
@@ -130,33 +111,50 @@ func (o Outcome) Matches(target Violation) bool {
 // a pure function of (cfg, plan): chaos replays are bit-deterministic. A
 // panic inside the simulation (e.g. the unguarded protocol releasing a
 // non-waiting core) is captured into RunErr after the online oracles have
-// seen the violating event.
+// seen the violating event. A config that cannot build or launch a system
+// gets no verdict: its error lands in RunErr with no violations.
 func RunPlan(cfg RunConfig, plan *fault.Plan) Outcome {
+	out, err := runPlan(cfg, plan)
+	if err != nil {
+		out.RunErr = err.Error()
+	}
+	return out
+}
+
+// runPlan is RunPlan with a failure to build or launch the system returned
+// as a machinery error instead of recorded in the outcome: Replay and
+// Campaign report it as such, never as a verdict.
+func runPlan(cfg RunConfig, plan *fault.Plan) (Outcome, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := config.Default(cfg.Cores)
 	sysCfg.Faults = plan
 	p := newProbe(cfg.Cores, livenessBound(plan, cfg.CycleBudget), cfg.Oracles)
-	rep, tl, err := runProtected(sysCfg, cfg, p)
+	rep, tl, runErr, setupErr := runProtected(sysCfg, cfg, p)
 	out := Outcome{Report: rep, Timeline: tl}
-	if err != nil {
-		out.RunErr = err.Error()
+	if setupErr != nil {
+		return out, setupErr
 	}
-	p.finish(rep, err, cfg.barriers())
+	if runErr != nil {
+		out.RunErr = runErr.Error()
+	}
+	p.finish(rep, runErr, cfg.barriers())
 	out.Violations = p.violations
-	return out
+	return out, nil
 }
 
-// runProtected builds and drives the system, converting a panic into an
-// error so one crashing plan degrades one campaign slot, not the process.
-func runProtected(sysCfg config.Config, cfg RunConfig, p *probe) (rep *sim.Report, tl *trace.Timeline, err error) {
+// runProtected builds and drives the system. setupErr reports a system
+// that could not be built or launched; runErr a run that failed, with a
+// panic converted into one so one crashing plan degrades one campaign
+// slot, not the process.
+func runProtected(sysCfg config.Config, cfg RunConfig, p *probe) (rep *sim.Report, tl *trace.Timeline, runErr, setupErr error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("chaos: run panicked: %v\n%s", r, debug.Stack())
+			runErr = fmt.Errorf("chaos: run panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
 	sys, err := sim.New(sysCfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sys.Eng.StallLimit = cfg.StallLimit
 	if cfg.TraceCapacity > 0 {
@@ -165,19 +163,19 @@ func runProtected(sysCfg config.Config, cfg RunConfig, p *probe) (rep *sim.Repor
 	sys.ObserveBarrier(p)
 	b, err := sys.NewBarrier(barrier.KindGL, cfg.Cores)
 	if err != nil {
-		return nil, tl, err
+		return nil, tl, nil, err
 	}
 	w := &workload.Synthetic{Iters: cfg.Iters}
 	progs, err := w.Programs(sys, b, cfg.Cores)
 	if err != nil {
-		return nil, tl, err
+		return nil, tl, nil, err
 	}
 	if err := sys.Launch(progs); err != nil {
-		return nil, tl, err
+		return nil, tl, nil, err
 	}
-	rep, err = sys.Run(cfg.CycleBudget)
+	rep, runErr = sys.Run(cfg.CycleBudget)
 	sys.Close()
-	return rep, tl, err
+	return rep, tl, runErr, nil
 }
 
 // livenessBound derives the per-episode completion bound from the recovery

@@ -157,7 +157,8 @@ func TestParseOracles(t *testing.T) {
 }
 
 func TestParseVerdict(t *testing.T) {
-	v, err := ParseVerdict("liveness/no-progress")
+	oracles := []string{OracleSafety, OracleLiveness, OracleConservation}
+	v, err := ParseVerdict("liveness/no-progress", oracles...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +166,13 @@ func TestParseVerdict(t *testing.T) {
 		t.Fatalf("bad verdict %+v", v)
 	}
 	for _, bad := range []string{"", "liveness", "sloth/naps"} {
-		if _, err := ParseVerdict(bad); err == nil {
+		if _, err := ParseVerdict(bad, oracles...); err == nil {
 			t.Fatalf("want error for %q", bad)
 		}
+	}
+	// Only the caller's oracles are accepted.
+	if _, err := ParseVerdict("liveness/no-progress", OracleSafety); err == nil {
+		t.Fatal("want error for an oracle outside the accepted names")
 	}
 }
 

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,8 +13,8 @@ import (
 )
 
 // Reproducer is one corpus entry: a minimized fault plan pinned to the
-// oracle verdict it deterministically trips. The on-disk format is a plain
-// text file of "key: value" lines with '#' comments:
+// oracle verdict it deterministically trips. The on-disk format is a
+// .repro file (see ParseRepro):
 //
 //	# chaos campaign seed=7, minimized from 3 atoms in 41 runs
 //	plan: seed=9,recovery.off,@100-200:gl.drop:-1:0
@@ -58,124 +59,146 @@ func (r Reproducer) runConfig() RunConfig {
 // Replay runs the reproducer and checks its pinned verdict: the plan must
 // still trip the same oracle/kind. It returns the outcome alongside a
 // non-nil error when the verdict drifted — the regression signal the
-// corpus exists for.
+// corpus exists for — or when the entry cannot build a system at all.
 func (r Reproducer) Replay() (Outcome, error) {
 	plan, err := fault.ParsePlan(r.Plan)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("chaos: corpus %q: %w", r.Name, err)
 	}
-	out := RunPlan(r.runConfig(), plan)
-	if !out.Matches(r.Verdict) {
+	out, err := runPlan(r.runConfig(), plan)
+	if err == nil && !out.Matches(r.Verdict) {
 		got := "no violation at all"
 		if v := out.Tripped(); v != nil {
 			got = v.String()
 		}
-		return out, fmt.Errorf("chaos: corpus %q: plan no longer trips %s (got %s)", r.Name, r.Verdict.Key(), got)
+		err = fmt.Errorf("plan no longer trips %s (got %s)", r.Verdict.Key(), got)
+	}
+	if err != nil {
+		return out, fmt.Errorf("chaos: corpus %q: %w", r.Name, err)
 	}
 	return out, nil
 }
 
-// format renders the reproducer in corpus file syntax.
-func (r Reproducer) format() string {
-	var b strings.Builder
-	for _, line := range strings.Split(r.Note, "\n") {
-		if line != "" {
-			fmt.Fprintf(&b, "# %s\n", line)
-		}
-	}
-	fmt.Fprintf(&b, "plan: %s\n", r.Plan)
-	fmt.Fprintf(&b, "oracle: %s\n", r.Verdict.Key())
-	if r.Cores != 0 {
-		fmt.Fprintf(&b, "cores: %d\n", r.Cores)
-	}
-	if r.Iters != 0 {
-		fmt.Fprintf(&b, "iters: %d\n", r.Iters)
-	}
-	if r.CycleBudget != 0 {
-		fmt.Fprintf(&b, "budget: %d\n", r.CycleBudget)
-	}
-	if r.StallLimit != 0 {
-		fmt.Fprintf(&b, "stall: %d\n", r.StallLimit)
-	}
-	return b.String()
+// String renders the reproducer in .repro syntax.
+func (r Reproducer) String() string {
+	return FormatRepro(r.Note, [][2]string{
+		{"plan", r.Plan},
+		{"oracle", r.Verdict.Key()},
+		{"cores", strconv.Itoa(r.Cores)},
+		{"iters", strconv.Itoa(r.Iters)},
+		{"budget", strconv.FormatUint(r.CycleBudget, 10)},
+		{"stall", strconv.FormatUint(r.StallLimit, 10)},
+	})
 }
 
-// WriteCorpus saves the reproducer as <dir>/<name>.repro, creating dir if
-// needed, and returns the file path. The entry is validated first: the
-// plan must parse and the verdict must name a known oracle.
+// WriteCorpus checks that the entry parses back, then saves it as
+// <dir>/<name>.repro, creating dir if needed, and returns the file path.
 func WriteCorpus(dir string, r Reproducer) (string, error) {
-	if r.Name == "" {
-		return "", fmt.Errorf("chaos: corpus entry needs a name")
-	}
-	if _, err := fault.ParsePlan(r.Plan); err != nil {
-		return "", fmt.Errorf("chaos: corpus %q: %w", r.Name, err)
-	}
-	if _, err := ParseVerdict(r.Verdict.Key()); err != nil {
+	if _, err := ParseReproducer(r.Name, r.String()); err != nil {
 		return "", err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("chaos: corpus: %w", err)
-	}
-	path := filepath.Join(dir, r.Name+reproSuffix)
-	if err := os.WriteFile(path, []byte(r.format()), 0o644); err != nil {
-		return "", fmt.Errorf("chaos: corpus: %w", err)
-	}
-	return path, nil
+	return WriteRepro(dir, r.Name, r.String())
 }
 
 // ParseReproducer parses one corpus file's contents.
 func ParseReproducer(name, text string) (Reproducer, error) {
 	r := Reproducer{Name: name}
+	note, err := ParseRepro(text, func(key, val string) (err error) {
+		switch key {
+		case "plan":
+			r.Plan = val
+			_, err = fault.ParsePlan(val)
+		case "oracle":
+			r.Verdict, err = ParseVerdict(val, OracleSafety, OracleLiveness, OracleConservation)
+		case "cores":
+			r.Cores, err = parseCount(val)
+		case "iters":
+			r.Iters, err = parseCount(val)
+		case "budget":
+			r.CycleBudget, err = strconv.ParseUint(val, 10, 64)
+		case "stall":
+			r.StallLimit, err = strconv.ParseUint(val, 10, 64)
+		default:
+			err = errors.New("unknown key")
+		}
+		return err
+	})
+	r.Note = note
+	switch {
+	case err != nil:
+	case r.Plan == "":
+		err = errors.New("missing plan")
+	case r.Verdict.Oracle == "":
+		err = errors.New("missing oracle")
+	}
+	if err != nil {
+		return r, fmt.Errorf("chaos: corpus %q: %w", name, err)
+	}
+	return r, nil
+}
+
+// parseCount parses a non-negative run-shape count (cores, iterations).
+func parseCount(s string) (int, error) {
+	n, err := strconv.ParseUint(s, 10, 31)
+	return int(n), err
+}
+
+// LoadCorpus reads every *.repro file under dir, sorted by name. A missing
+// directory is an empty corpus, not an error.
+func LoadCorpus(dir string) ([]Reproducer, error) {
+	return LoadRepros(dir, ParseReproducer)
+}
+
+// ParseRepro reads a .repro file, the corpus format of both chaos layers:
+// '#' lines are notes, joined with newlines into the returned note; blank
+// lines are skipped; every other line must be "key: value" and is passed
+// to set in file order. An error names the offending line.
+func ParseRepro(text string, set func(key, val string) error) (note string, err error) {
 	var notes []string
 	for ln, raw := range strings.Split(text, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			notes = append(notes, strings.TrimSpace(strings.TrimPrefix(line, "#")))
+		if rest, ok := strings.CutPrefix(line, "#"); ok {
+			notes = append(notes, strings.TrimSpace(rest))
 			continue
 		}
 		key, val, ok := strings.Cut(line, ":")
 		if !ok {
-			return r, fmt.Errorf("chaos: corpus %q line %d: want key: value, got %q", name, ln+1, line)
+			return "", fmt.Errorf("line %d: want key: value, got %q", ln+1, line)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "plan":
-			_, err = fault.ParsePlan(val)
-			r.Plan = val
-		case "oracle":
-			r.Verdict, err = ParseVerdict(val)
-		case "cores":
-			r.Cores, err = strconv.Atoi(val)
-		case "iters":
-			r.Iters, err = strconv.Atoi(val)
-		case "budget":
-			r.CycleBudget, err = strconv.ParseUint(val, 10, 64)
-		case "stall":
-			r.StallLimit, err = strconv.ParseUint(val, 10, 64)
-		default:
-			return r, fmt.Errorf("chaos: corpus %q line %d: unknown key %q", name, ln+1, key)
-		}
-		if err != nil {
-			return r, fmt.Errorf("chaos: corpus %q line %d: %s: %w", name, ln+1, key, err)
+		key = strings.TrimSpace(key)
+		if err := set(key, strings.TrimSpace(val)); err != nil {
+			return "", fmt.Errorf("line %d: %s: %w", ln+1, key, err)
 		}
 	}
-	r.Note = strings.Join(notes, "\n")
-	if r.Plan == "" {
-		return r, fmt.Errorf("chaos: corpus %q: missing plan", name)
-	}
-	if r.Verdict.Oracle == "" {
-		return r, fmt.Errorf("chaos: corpus %q: missing oracle", name)
-	}
-	return r, nil
+	return strings.Join(notes, "\n"), nil
 }
 
-// LoadCorpus reads every *.repro file under dir, sorted by name. A missing
+// FormatRepro renders a .repro file that ParseRepro reads back: each note
+// line as a '#' line, then each key/value pair in order as a "key: value"
+// line. A pair whose value is "" or "0" is left out — every optional
+// field defaults to zero.
+func FormatRepro(note string, fields [][2]string) string {
+	var b strings.Builder
+	if note != "" {
+		for _, line := range strings.Split(note, "\n") {
+			b.WriteString(strings.TrimSpace("# "+line) + "\n")
+		}
+	}
+	for _, f := range fields {
+		if f[1] != "" && f[1] != "0" {
+			fmt.Fprintf(&b, "%s: %s\n", f[0], f[1])
+		}
+	}
+	return b.String()
+}
+
+// LoadRepros parses every *.repro file under dir with parse, in name
+// order (the name is the file's base name without the suffix). A missing
 // directory is an empty corpus, not an error.
-func LoadCorpus(dir string) ([]Reproducer, error) {
+func LoadRepros[R any](dir string, parse func(name, text string) (R, error)) ([]R, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -183,21 +206,40 @@ func LoadCorpus(dir string) ([]Reproducer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: corpus: %w", err)
 	}
-	var out []Reproducer
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), reproSuffix) {
-			continue
+		if name, ok := strings.CutSuffix(e.Name(), reproSuffix); ok && !e.IsDir() {
+			names = append(names, name)
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	}
+	sort.Strings(names)
+	var out []R
+	for _, name := range names {
+		raw, err := os.ReadFile(filepath.Join(dir, name+reproSuffix))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: corpus: %w", err)
 		}
-		r, err := ParseReproducer(strings.TrimSuffix(e.Name(), reproSuffix), string(raw))
+		r, err := parse(name, string(raw))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
+}
+
+// WriteRepro saves text as <dir>/<name>.repro, creating dir if needed, and
+// returns the file path.
+func WriteRepro(dir, name, text string) (string, error) {
+	if name == "" {
+		return "", errors.New("chaos: corpus entry needs a name")
+	}
+	path := filepath.Join(dir, name+reproSuffix)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("chaos: corpus: %w", err)
+	}
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		return "", fmt.Errorf("chaos: corpus: %w", err)
+	}
+	return path, nil
 }

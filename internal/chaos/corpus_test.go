@@ -61,6 +61,23 @@ func TestCorpusReplayPinsVerdict(t *testing.T) {
 	if _, err := r.Replay(); err == nil || !strings.Contains(err.Error(), "no longer trips") {
 		t.Fatalf("want no-longer-trips error, got %v", err)
 	}
+	// An entry whose run shape cannot build a system must not replay
+	// green on the liveness oracle's no-progress verdict: it is refused at
+	// parse time or returned as a machinery error.
+	for _, shape := range []string{"cores: -4", "cores: 100000000", "iters: -3"} {
+		text := "plan: seed=1\noracle: liveness/no-progress\n" + shape + "\n"
+		r, err := ParseReproducer("bad-shape", text)
+		if err == nil {
+			var out Outcome
+			out, err = r.Replay()
+			if err != nil && out.Violations != nil {
+				t.Errorf("%s: a system that cannot be built was judged: %v", shape, out.Violations)
+			}
+		}
+		if err == nil {
+			t.Errorf("%s: entry replayed green", shape)
+		}
+	}
 }
 
 func TestParseReproducerErrors(t *testing.T) {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,17 +65,42 @@ func (v Violation) String() string {
 // what ddmin preserves while shrinking, and what corpus replays pin.
 func (v Violation) Key() string { return v.Oracle + "/" + v.Kind }
 
+// Violations is a run's oracle trips in detection order. Both chaos
+// layers, the protocol one here and the host one in internal/hostchaos,
+// record their verdicts in it.
+type Violations []Violation
+
+// Tripped returns the first violation, or nil when every oracle held.
+func (vs Violations) Tripped() *Violation {
+	if len(vs) == 0 {
+		return nil
+	}
+	return &vs[0]
+}
+
+// Matches reports whether any violation has the target's oracle and kind —
+// the "same failure" test minimization reduces against and corpus replays
+// pin.
+func (vs Violations) Matches(target Violation) bool {
+	for _, v := range vs {
+		if v.Oracle == target.Oracle && v.Kind == target.Kind {
+			return true
+		}
+	}
+	return false
+}
+
 // ParseVerdict parses an "oracle/kind" key back into a target Violation.
-func ParseVerdict(s string) (Violation, error) {
+// The oracle must be one of oracles, the names the caller's layer checks.
+func ParseVerdict(s string, oracles ...string) (Violation, error) {
 	oracle, kind, ok := strings.Cut(strings.TrimSpace(s), "/")
 	if !ok || oracle == "" || kind == "" {
-		return Violation{}, fmt.Errorf("chaos: verdict %q is not oracle/kind", s)
+		return Violation{}, fmt.Errorf("verdict %q is not oracle/kind", s)
 	}
-	switch oracle {
-	case OracleSafety, OracleLiveness, OracleConservation:
-		return Violation{Oracle: oracle, Kind: kind}, nil
+	if !slices.Contains(oracles, oracle) {
+		return Violation{}, fmt.Errorf("unknown oracle %q in verdict %q", oracle, s)
 	}
-	return Violation{}, fmt.Errorf("chaos: unknown oracle %q in verdict %q", oracle, s)
+	return Violation{Oracle: oracle, Kind: kind}, nil
 }
 
 // OracleSet selects which invariants a run checks.

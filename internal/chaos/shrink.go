@@ -57,30 +57,10 @@ func assemble(base *fault.Plan, atoms []atom) *fault.Plan {
 	return p
 }
 
-// shrinker runs minimization candidates against a budget.
-type shrinker struct {
-	cfg    RunConfig
-	target Violation
-	budget int
-	runs   int
-}
-
-// fails reports whether the candidate plan still trips the target
-// oracle/kind. A candidate past the run budget counts as not failing, so
-// minimization degrades to "best so far" instead of running forever.
-func (s *shrinker) fails(p *fault.Plan) bool {
-	if s.runs >= s.budget {
-		return false
-	}
-	s.runs++
-	out := RunPlan(s.cfg, p)
-	return out.Matches(s.target)
-}
-
 // Minimize delta-debugs a failing plan down to a minimal reproducer that
-// still trips the same oracle/kind verdict. Phase one is classic ddmin
-// over the plan's atoms (rate directives and events); phase two shrinks
-// the surviving numbers — rates by decades, event windows by bisection.
+// still trips the same oracle/kind verdict. Phase one is DDMin over the
+// plan's atoms (rate directives and events); phase two shrinks the
+// surviving numbers — rates by decades, event windows by bisection.
 // maxRuns bounds the total candidate executions (<=0 selects 200). The
 // result is 1-minimal w.r.t. atom removal when the budget sufficed, and
 // simply the best plan found otherwise.
@@ -88,28 +68,39 @@ func Minimize(cfg RunConfig, plan *fault.Plan, target Violation, maxRuns int) (*
 	if maxRuns <= 0 {
 		maxRuns = 200
 	}
-	s := &shrinker{cfg: cfg.withDefaults(), target: target, budget: maxRuns}
 	atoms := atomsOf(plan)
 	stats := ShrinkStats{FromAtoms: len(atoms)}
-	atoms = s.ddmin(plan, atoms)
-	min := assemble(plan, atoms)
-	min = s.shrinkNumbers(min)
-	stats.Runs = s.runs
+	// fails reports whether a candidate still trips the target. One past
+	// the run budget counts as not failing, so minimization degrades to
+	// "best so far" instead of running forever; so does one that cannot
+	// build a system at all.
+	fails := func(p *fault.Plan) bool {
+		if stats.Runs >= maxRuns {
+			return false
+		}
+		stats.Runs++
+		out, err := runPlan(cfg, p)
+		return err == nil && out.Matches(target)
+	}
+	atoms = DDMin(atoms, func(c []atom) bool { return fails(assemble(plan, c)) })
+	min := shrinkNumbers(assemble(plan, atoms), fails)
 	stats.ToAtoms = len(atomsOf(min))
 	return min, stats
 }
 
-// ddmin is the classic Zeller/Hildebrandt minimizing delta debugger over
-// the atom set: try ever-finer subsets and complements, keeping any that
-// still fail, until the set is 1-minimal (or the budget runs out).
-func (s *shrinker) ddmin(base *fault.Plan, atoms []atom) []atom {
+// DDMin is the classic Zeller/Hildebrandt minimizing delta debugger: try
+// ever-finer subsets of atoms and their complements, keep any that still
+// fail, and return a 1-minimal failing subset. fails holds the run budget:
+// once that is spent it answers false, and DDMin returns the smallest set
+// found so far. Both chaos layers shrink their findings with it.
+func DDMin[A any](atoms []A, fails func([]A) bool) []A {
 	n := 2
-	for len(atoms) >= 2 && s.runs < s.budget {
+	for len(atoms) >= 2 {
 		chunks := split(atoms, n)
 		reduced := false
 		// Try each chunk alone: the failure may live entirely inside one.
 		for _, c := range chunks {
-			if s.fails(assemble(base, c)) {
+			if fails(c) {
 				atoms, n = c, 2
 				reduced = true
 				break
@@ -126,11 +117,8 @@ func (s *shrinker) ddmin(base *fault.Plan, atoms []atom) []atom {
 				if len(comp) == len(atoms) || len(comp) == 0 {
 					continue
 				}
-				if s.fails(assemble(base, comp)) {
-					atoms = comp
-					if n > 2 {
-						n--
-					}
+				if fails(comp) {
+					atoms, n = comp, n-1
 					reduced = true
 					break
 				}
@@ -151,11 +139,11 @@ func (s *shrinker) ddmin(base *fault.Plan, atoms []atom) []atom {
 }
 
 // split partitions atoms into n non-empty chunks.
-func split(atoms []atom, n int) [][]atom {
+func split[A any](atoms []A, n int) [][]A {
 	if n > len(atoms) {
 		n = len(atoms)
 	}
-	chunks := make([][]atom, 0, n)
+	chunks := make([][]A, 0, n)
 	for i := 0; i < n; i++ {
 		lo, hi := i*len(atoms)/n, (i+1)*len(atoms)/n
 		if lo < hi {
@@ -166,8 +154,8 @@ func split(atoms []atom, n int) [][]atom {
 }
 
 // complement concatenates every chunk except the i-th.
-func complement(chunks [][]atom, i int) []atom {
-	var out []atom
+func complement[A any](chunks [][]A, i int) []A {
+	var out []A
 	for j, c := range chunks {
 		if j != i {
 			out = append(out, c...)
@@ -180,12 +168,12 @@ func complement(chunks [][]atom, i int) []atom {
 // failure persists: rates drop by decades (a minimal reproducer should use
 // the weakest fault intensity that still bites), event windows shrink by
 // bisection from both ends.
-func (s *shrinker) shrinkNumbers(p *fault.Plan) *fault.Plan {
+func shrinkNumbers(p *fault.Plan, fails func(*fault.Plan) bool) *fault.Plan {
 	for st := fault.GLDrop; st < fault.NumSites; st++ {
 		for p.Rates[st] > 1e-7 {
 			cand := *p
 			cand.Rates[st] = p.Rates[st] / 10
-			if !s.fails(&cand) {
+			if !fails(&cand) {
 				break
 			}
 			*p = cand
@@ -197,14 +185,14 @@ func (s *shrinker) shrinkNumbers(p *fault.Plan) *fault.Plan {
 			cand := *p
 			cand.Events = append([]fault.Event(nil), p.Events...)
 			cand.Events[i].Until = cand.Events[i].From + w/2
-			if s.fails(&cand) {
+			if fails(&cand) {
 				*p = cand
 				continue
 			}
 			cand = *p
 			cand.Events = append([]fault.Event(nil), p.Events...)
 			cand.Events[i].From = cand.Events[i].Until - w/2
-			if s.fails(&cand) {
+			if fails(&cand) {
 				*p = cand
 				continue
 			}

@@ -104,10 +104,7 @@ func TestMinimizedPlanRoundTripsThroughParser(t *testing.T) {
 }
 
 func TestSplitAndComplement(t *testing.T) {
-	atoms := make([]atom, 5)
-	for i := range atoms {
-		atoms[i].rate = float64(i + 1)
-	}
+	atoms := []int{1, 2, 3, 4, 5}
 	chunks := split(atoms, 2)
 	if len(chunks) != 2 || len(chunks[0])+len(chunks[1]) != 5 {
 		t.Fatalf("bad split: %d chunks", len(chunks))
@@ -117,7 +114,7 @@ func TestSplitAndComplement(t *testing.T) {
 		t.Fatalf("overshooting n should clamp to len, got %d chunks", len(chunks))
 	}
 	comp := complement(chunks, 0)
-	if len(comp) != 4 || comp[0].rate != 2 {
-		t.Fatalf("bad complement: %+v", comp)
+	if len(comp) != 4 || comp[0] != 2 {
+		t.Fatalf("bad complement: %v", comp)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/serve"
 	"repro/internal/serve/hostfault"
 	"repro/internal/sim"
@@ -50,11 +51,11 @@ type Finding struct {
 	// Plan is the original failing plan (ParsePlan syntax).
 	Plan string `json:"plan"`
 	// Verdict is the run's first violation.
-	Verdict Violation `json:"verdict"`
+	Verdict chaos.Violation `json:"verdict"`
 	// Minimized is the shrunken reproducer (ParsePlan syntax).
 	Minimized string `json:"minimized"`
 	// Shrink summarizes the minimization effort.
-	Shrink ShrinkStats `json:"shrink"`
+	Shrink chaos.ShrinkStats `json:"shrink"`
 }
 
 // CampaignReport is the JSON document a campaign emits. Every field is a
@@ -195,7 +196,7 @@ type harness struct {
 	ts  *httptest.Server
 }
 
-func newHarness(cfg RunConfig, cacheDir string, runner serve.CellRunner) harness {
+func newHarness(cfg RunConfig, cacheDir string, runner serve.CellRunner, plan *hostfault.Plan) harness {
 	srv := serve.NewServer(serve.Options{
 		ConcurrentJobs: cfg.ConcurrentJobs,
 		CellWorkers:    cfg.CellWorkers,
@@ -203,8 +204,12 @@ func newHarness(cfg RunConfig, cacheDir string, runner serve.CellRunner) harness
 		CellAttempts:   cfg.CellAttempts,
 		RetryBase:      time.Millisecond,
 		RetryMax:       4 * time.Millisecond,
+		// The budget must never bind in a campaign: a budget-exhausted
+		// failure is neither a retry nor a quarantine, which would break
+		// the conservation identity the oracles check.
 		JobRetryBudget: 1 << 20,
 		Runner:         runner,
+		HostFaults:     plan,
 	})
 	return harness{srv: srv, ts: httptest.NewServer(srv.Handler())}
 }
@@ -215,7 +220,7 @@ func (h harness) url() string { return h.ts.URL }
 // everything immediately — the abandoned-server path).
 func (h harness) stop(d time.Duration) {
 	h.ts.Close()
-	ctx, cancel := contextWithTimeout(d)
+	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
 	h.srv.Drain(ctx)
 }
@@ -242,7 +247,7 @@ func KillRestart(cfg RunConfig, baseline map[string][]byte) error {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	a := newHarness(cfg, cache, wedged)
+	a := newHarness(cfg, cache, wedged, nil)
 	if _, err := a.srv.AttachJournal(journal); err != nil {
 		a.stop(0)
 		return err
@@ -259,7 +264,7 @@ func KillRestart(cfg RunConfig, baseline map[string][]byte) error {
 	defer a.stop(0)
 
 	// Server B: replays the journal with the real runner.
-	b := newHarness(cfg, cache, nil)
+	b := newHarness(cfg, cache, nil, nil)
 	defer b.stop(10 * time.Second)
 	replayed, err := b.srv.AttachJournal(journal)
 	if err != nil {
@@ -294,7 +299,7 @@ func KillRestart(cfg RunConfig, baseline map[string][]byte) error {
 	// Drain B (closing its journal), then a third attach must find nothing
 	// pending: recovery converged.
 	b.stop(10 * time.Second)
-	c := newHarness(cfg, cache, nil)
+	c := newHarness(cfg, cache, nil, nil)
 	defer c.stop(10 * time.Second)
 	replayed, err = c.srv.AttachJournal(journal)
 	if err != nil {

@@ -1,13 +1,11 @@
 package hostchaos
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 
+	"repro/internal/chaos"
 	"repro/internal/serve"
 	"repro/internal/serve/hostfault"
 )
@@ -21,8 +19,7 @@ import (
 //     run quarantines at least one cell and fails at least one job, while
 //     every oracle stays green (the pinned self-healing behavior).
 //
-// The on-disk format is a plain text file of "key: value" lines with '#'
-// comments:
+// The on-disk format is a .repro file (see chaos.ParseRepro):
 //
 //	# poison cell: every attempt at every cell fails
 //	plan: seed=1,exec.fail#3
@@ -39,7 +36,7 @@ type Reproducer struct {
 	// Plan is the minimized host-fault plan in hostfault.ParsePlan syntax.
 	Plan string `json:"plan"`
 	// Verdict is the pinned oracle/kind (zero when Expect is set).
-	Verdict Violation `json:"verdict,omitempty"`
+	Verdict chaos.Violation `json:"verdict,omitempty"`
 	// Expect is the pinned self-healing behavior ("quarantine"), mutually
 	// exclusive with Verdict.
 	Expect string `json:"expect,omitempty"`
@@ -50,23 +47,6 @@ type Reproducer struct {
 // ExpectQuarantine pins self-healing behavior: quarantined cells, failed
 // jobs, green oracles.
 const ExpectQuarantine = "quarantine"
-
-// reproSuffix is the corpus file extension.
-const reproSuffix = ".repro"
-
-// ParseVerdict parses "oracle/kind" into a Violation pin.
-func ParseVerdict(s string) (Violation, error) {
-	oracle, kind, ok := strings.Cut(s, "/")
-	if !ok || oracle == "" || kind == "" {
-		return Violation{}, fmt.Errorf("hostchaos: verdict %q: want oracle/kind", s)
-	}
-	switch oracle {
-	case OracleAccounting, OracleMonotonic, OracleIdentity, OracleConservation:
-	default:
-		return Violation{}, fmt.Errorf("hostchaos: verdict %q: unknown oracle %q", s, oracle)
-	}
-	return Violation{Oracle: oracle, Kind: kind}, nil
-}
 
 // runConfig builds the replay RunConfig.
 func (r Reproducer) runConfig() RunConfig {
@@ -119,108 +99,63 @@ func (r Reproducer) Replay() (*Outcome, error) {
 	return out, nil
 }
 
-// format renders the reproducer in corpus file syntax.
-func (r Reproducer) format() string {
-	var b strings.Builder
-	for _, line := range strings.Split(r.Note, "\n") {
-		if line != "" {
-			fmt.Fprintf(&b, "# %s\n", line)
-		}
+// String renders the reproducer in .repro syntax.
+func (r Reproducer) String() string {
+	oracle := ""
+	if r.Verdict.Oracle != "" {
+		oracle = r.Verdict.Key()
 	}
-	fmt.Fprintf(&b, "plan: %s\n", r.Plan)
-	if r.Expect != "" {
-		fmt.Fprintf(&b, "expect: %s\n", r.Expect)
-	} else {
-		fmt.Fprintf(&b, "oracle: %s\n", r.Verdict.Key())
-	}
-	if r.Attempts != 0 {
-		fmt.Fprintf(&b, "attempts: %d\n", r.Attempts)
-	}
-	return b.String()
+	return chaos.FormatRepro(r.Note, [][2]string{
+		{"plan", r.Plan},
+		{"oracle", oracle},
+		{"expect", r.Expect},
+		{"attempts", strconv.Itoa(r.Attempts)},
+	})
 }
 
-// validate checks the entry is writable: the plan parses and exactly one
-// pin is set.
-func (r Reproducer) validate() error {
-	if r.Name == "" {
-		return fmt.Errorf("hostchaos: corpus entry needs a name")
-	}
-	if _, err := hostfault.ParsePlan(r.Plan); err != nil {
-		return fmt.Errorf("hostchaos: corpus %q: %w", r.Name, err)
-	}
-	switch {
-	case r.Expect == "" && r.Verdict.Oracle == "":
-		return fmt.Errorf("hostchaos: corpus %q: needs an oracle or expect pin", r.Name)
-	case r.Expect != "" && r.Verdict.Oracle != "":
-		return fmt.Errorf("hostchaos: corpus %q: oracle and expect pins are mutually exclusive", r.Name)
-	case r.Expect != "" && r.Expect != ExpectQuarantine:
-		return fmt.Errorf("hostchaos: corpus %q: unknown expectation %q", r.Name, r.Expect)
-	case r.Verdict.Oracle != "":
-		if _, err := ParseVerdict(r.Verdict.Key()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCorpus saves the reproducer as <dir>/<name>.repro, creating dir if
-// needed, and returns the file path.
+// WriteCorpus checks that the entry parses back, then saves it as
+// <dir>/<name>.repro, creating dir if needed, and returns the file path.
 func WriteCorpus(dir string, r Reproducer) (string, error) {
-	if err := r.validate(); err != nil {
+	if _, err := ParseReproducer(r.Name, r.String()); err != nil {
 		return "", err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("hostchaos: corpus: %w", err)
-	}
-	path := filepath.Join(dir, r.Name+reproSuffix)
-	if err := os.WriteFile(path, []byte(r.format()), 0o644); err != nil {
-		return "", fmt.Errorf("hostchaos: corpus: %w", err)
-	}
-	return path, nil
+	return chaos.WriteRepro(dir, r.Name, r.String())
 }
 
 // ParseReproducer parses one corpus file's contents.
 func ParseReproducer(name, text string) (Reproducer, error) {
 	r := Reproducer{Name: name}
-	var notes []string
-	for ln, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			notes = append(notes, strings.TrimSpace(strings.TrimPrefix(line, "#")))
-			continue
-		}
-		key, val, ok := strings.Cut(line, ":")
-		if !ok {
-			return r, fmt.Errorf("hostchaos: corpus %q line %d: want key: value, got %q", name, ln+1, line)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
+	note, err := chaos.ParseRepro(text, func(key, val string) (err error) {
 		switch key {
 		case "plan":
-			_, err = hostfault.ParsePlan(val)
 			r.Plan = val
+			_, err = hostfault.ParsePlan(val)
 		case "oracle":
-			r.Verdict, err = ParseVerdict(val)
+			r.Verdict, err = chaos.ParseVerdict(val, OracleAccounting, OracleMonotonic, OracleIdentity, OracleConservation)
 		case "expect":
 			r.Expect = val
+			if val != ExpectQuarantine {
+				err = errors.New("unknown expectation")
+			}
 		case "attempts":
 			r.Attempts, err = strconv.Atoi(val)
 		default:
-			return r, fmt.Errorf("hostchaos: corpus %q line %d: unknown key %q", name, ln+1, key)
+			err = errors.New("unknown key")
 		}
-		if err != nil {
-			return r, fmt.Errorf("hostchaos: corpus %q line %d: %s: %w", name, ln+1, key, err)
-		}
+		return err
+	})
+	r.Note = note
+	switch {
+	case err != nil:
+	case r.Plan == "":
+		err = errors.New("missing plan")
+	case r.Expect == "" && r.Verdict.Oracle == "":
+		err = errors.New("needs an oracle or expect pin")
+	case r.Expect != "" && r.Verdict.Oracle != "":
+		err = errors.New("oracle and expect pins are mutually exclusive")
 	}
-	r.Note = strings.Join(notes, "\n")
-	if r.Plan == "" {
-		return r, fmt.Errorf("hostchaos: corpus %q: missing plan", name)
-	}
-	if err := r.validate(); err != nil {
-		return r, err
+	if err != nil {
+		return r, fmt.Errorf("hostchaos: corpus %q: %w", name, err)
 	}
 	return r, nil
 }
@@ -228,28 +163,5 @@ func ParseReproducer(name, text string) (Reproducer, error) {
 // LoadCorpus reads every *.repro file under dir, sorted by name. A missing
 // directory is an empty corpus, not an error.
 func LoadCorpus(dir string) ([]Reproducer, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("hostchaos: corpus: %w", err)
-	}
-	var out []Reproducer
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), reproSuffix) {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("hostchaos: corpus: %w", err)
-		}
-		r, err := ParseReproducer(strings.TrimSuffix(e.Name(), reproSuffix), string(raw))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return chaos.LoadRepros(dir, ParseReproducer)
 }

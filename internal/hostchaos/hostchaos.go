@@ -25,9 +25,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/serve"
 	"repro/internal/serve/hostfault"
 )
@@ -99,25 +99,7 @@ type Outcome struct {
 	// Fired is the injector's per-site fired ledger.
 	Fired map[string]uint64 `json:"fired,omitempty"`
 	// Violations are the oracle trips (nil = clean run).
-	Violations []Violation `json:"violations,omitempty"`
-}
-
-// Tripped returns the first violation, or nil for a clean run.
-func (o *Outcome) Tripped() *Violation {
-	if len(o.Violations) == 0 {
-		return nil
-	}
-	return &o.Violations[0]
-}
-
-// Matches reports whether the outcome trips the same oracle/kind as v.
-func (o *Outcome) Matches(v Violation) bool {
-	for _, got := range o.Violations {
-		if got.Oracle == v.Oracle && got.Kind == v.Kind {
-			return true
-		}
-	}
-	return false
+	chaos.Violations `json:"violations,omitempty"`
 }
 
 // jobResultDoc mirrors the server's result document (the exported wire
@@ -140,36 +122,20 @@ type jobResultDoc struct {
 // are returned as errors, never encoded as violations.
 func RunPlan(cfg RunConfig, plan *hostfault.Plan) (*Outcome, error) {
 	cfg = cfg.withDefaults()
-	srv := serve.NewServer(serve.Options{
-		ConcurrentJobs: cfg.ConcurrentJobs,
-		CellWorkers:    cfg.CellWorkers,
-		CacheDir:       cfg.SpillDir,
-		CellAttempts:   cfg.CellAttempts,
-		RetryBase:      time.Millisecond,
-		RetryMax:       4 * time.Millisecond,
-		// The budget must never bind in a campaign: a budget-exhausted
-		// failure is neither a retry nor a quarantine, which would break
-		// the conservation identity the oracles check.
-		JobRetryBudget: 1 << 20,
-		HostFaults:     plan,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		drainServer(srv, 10*time.Second)
-	}()
+	h := newHarness(cfg, cfg.SpillDir, nil, plan)
+	defer h.stop(10 * time.Second)
 
 	out := &Outcome{Plan: plan.String(), CellBytes: map[string][]byte{}}
 	var ids []string
 	for _, spec := range cfg.Specs {
-		st, err := submit(ts.URL, spec)
+		st, err := submit(h.url(), spec)
 		if err != nil {
 			return nil, fmt.Errorf("hostchaos: submit %q: %w", spec, err)
 		}
 		ids = append(ids, st.ID)
 	}
 	for _, id := range ids {
-		st, err := waitTerminal(ts.URL, id, cfg.PollSteps)
+		st, err := waitTerminal(h.url(), id, cfg.PollSteps)
 		if err != nil {
 			return nil, err
 		}
@@ -177,14 +143,14 @@ func RunPlan(cfg RunConfig, plan *hostfault.Plan) (*Outcome, error) {
 	}
 	// Re-fetch after everything settled: terminal states must not move.
 	for _, id := range ids {
-		st, err := getStatus(ts.URL, id)
+		st, err := getStatus(h.url(), id)
 		if err != nil {
 			return nil, err
 		}
 		out.JobsRecheck = append(out.JobsRecheck, st)
 	}
 	for _, id := range ids {
-		doc, err := getResult(ts.URL, id)
+		doc, err := getResult(h.url(), id)
 		if err != nil {
 			return nil, err
 		}
@@ -196,9 +162,9 @@ func RunPlan(cfg RunConfig, plan *hostfault.Plan) (*Outcome, error) {
 	}
 	// A job turns terminal just before its executor counts it, so read the
 	// counters once the drain has let every executor return.
-	drainServer(srv, 10*time.Second)
-	out.Counters = srv.Stats().Counters
-	out.Fired = srv.FiredFaults()
+	h.stop(10 * time.Second)
+	out.Counters = h.srv.Stats().Counters
+	out.Fired = h.srv.FiredFaults()
 	return out, nil
 }
 
@@ -222,13 +188,6 @@ func Baseline(cfg RunConfig) (map[string][]byte, error) {
 		return nil, fmt.Errorf("hostchaos: fault-free baseline tripped %s", v)
 	}
 	return out.CellBytes, nil
-}
-
-// drainServer drains with a bounded context.
-func drainServer(srv *serve.Server, d time.Duration) {
-	ctx, cancel := contextWithTimeout(d)
-	defer cancel()
-	srv.Drain(ctx)
 }
 
 // submit posts one job spec.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/serve"
 	"repro/internal/serve/hostfault"
 )
@@ -151,7 +152,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 		Name:     "roundtrip",
 		Note:     "provenance line",
 		Plan:     "seed=5,exec.panic#1",
-		Verdict:  Violation{Oracle: OracleConservation, Kind: "exec-leak"},
+		Verdict:  chaos.Violation{Oracle: OracleConservation, Kind: "exec-leak"},
 		Attempts: 4,
 	}
 	if _, err := WriteCorpus(dir, want); err != nil {

@@ -1,24 +1,16 @@
 package hostchaos
 
-import "repro/internal/serve/hostfault"
+import (
+	"repro/internal/chaos"
+	"repro/internal/serve/hostfault"
+)
 
-// ShrinkStats summarizes one minimization: how many candidate plans were
-// run and how far the atom count dropped.
-type ShrinkStats struct {
-	Runs      int `json:"runs"`
-	FromAtoms int `json:"from_atoms"`
-	ToAtoms   int `json:"to_atoms"`
-}
-
-// Minimize greedily shrinks a tripping plan to a (locally) minimal
-// reproducer: repeatedly try dropping one atom — one site's rate or burst
-// — and keep the smaller plan whenever trips still holds. The predicate is
-// called at most maxRuns times; the loop also stops at a fixpoint, when no
-// single-atom removal preserves the trip. The returned plan keeps the
-// original's seed and slow-site latency so it replays identically.
-func Minimize(plan *hostfault.Plan, trips func(*hostfault.Plan) bool, maxRuns int) (*hostfault.Plan, ShrinkStats) {
-	cur := plan.Atoms()
-	stats := ShrinkStats{FromAtoms: len(cur), ToAtoms: len(cur)}
+// Minimize shrinks a tripping plan to a 1-minimal reproducer with
+// chaos.DDMin over its atoms (one site's rate or first-N burst each). The
+// predicate is called at most maxRuns times; past that the smallest plan
+// found so far is returned. The result keeps the original's seed and
+// slow-site latency so it replays identically.
+func Minimize(plan *hostfault.Plan, trips func(*hostfault.Plan) bool, maxRuns int) (*hostfault.Plan, chaos.ShrinkStats) {
 	rebuild := func(atoms []string) *hostfault.Plan {
 		p, err := plan.FromAtoms(atoms)
 		if err != nil {
@@ -27,23 +19,15 @@ func Minimize(plan *hostfault.Plan, trips func(*hostfault.Plan) bool, maxRuns in
 		}
 		return p
 	}
-	for len(cur) > 1 {
-		shrunk := false
-		for i := 0; i < len(cur) && stats.Runs < maxRuns; i++ {
-			next := make([]string, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			stats.Runs++
-			if trips(rebuild(next)) {
-				cur = next
-				shrunk = true
-				break
-			}
+	atoms := plan.Atoms()
+	stats := chaos.ShrinkStats{FromAtoms: len(atoms)}
+	atoms = chaos.DDMin(atoms, func(c []string) bool {
+		if stats.Runs >= maxRuns {
+			return false
 		}
-		if !shrunk || stats.Runs >= maxRuns {
-			break
-		}
-	}
-	stats.ToAtoms = len(cur)
-	return rebuild(cur), stats
+		stats.Runs++
+		return trips(rebuild(c))
+	})
+	stats.ToAtoms = len(atoms)
+	return rebuild(atoms), stats
 }

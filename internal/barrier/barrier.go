@@ -1,8 +1,8 @@
 // Package barrier provides the three barrier implementations the paper
 // compares:
 //
-//   - CSW: a centralized sense-reversal barrier (atomic counter + global
-//     sense flag each core spins on);
+//   - CSW: a centralized sense-reversal barrier (lock-protected counter +
+//     global sense flag each core spins on) — the one-node combining tree;
 //   - DSW: a distributed binary combining-tree barrier (the paper's best
 //     software baseline);
 //   - GL: the hardware G-line barrier (an adapter over the core's bar_reg).
@@ -59,71 +59,13 @@ func New(kind Kind, alloc *mem.Allocator, n int, episodes *uint64, glCtx int) (B
 	}
 	switch kind {
 	case KindCSW:
-		return NewCentralized(alloc, n, episodes), nil
+		return newTree(KindCSW, alloc, n, n, episodes), nil
 	case KindDSW:
 		return NewCombiningTree(alloc, n, episodes), nil
 	case KindGL:
 		return NewGLine(glCtx), nil
 	}
 	return nil, fmt.Errorf("barrier: unknown kind %q", kind)
-}
-
-// Centralized is the CSW baseline, exactly as the paper describes it: "a
-// centralized sense-reversal barrier based on locks, where each core
-// increments a centralized shared counter as it reaches the barrier, and
-// spins until that counter indicates that all cores are present." The
-// lock, the counter and the sense word each live on their own cache line;
-// all contention focuses there — the hot spot the paper describes.
-type Centralized struct {
-	n        int
-	lock     *Lock
-	counter  uint64
-	sense    uint64
-	local    []uint64 // per-thread sense (private, register-resident)
-	episodes *uint64
-	rec      *EpisodeRecorder
-}
-
-// NewCentralized allocates the lock, counter and sense flag on separate
-// lines.
-func NewCentralized(alloc *mem.Allocator, n int, episodes *uint64) *Centralized {
-	return &Centralized{
-		n:        n,
-		lock:     NewLock(alloc),
-		counter:  alloc.Line(),
-		sense:    alloc.Line(),
-		local:    make([]uint64, n),
-		episodes: episodes,
-	}
-}
-
-// Name returns "CSW".
-func (b *Centralized) Name() string { return string(KindCSW) }
-
-// Wait implements the lock-based sense-reversal barrier.
-func (b *Centralized) Wait(c *cpu.Ctx, tid int) {
-	c.InRegion(stats.RegionBarrier, func() {
-		b.rec.arrive(c.Now())
-		sense := 1 - b.local[tid]
-		b.local[tid] = sense
-		// S1: lock-protected increment of the central counter.
-		b.lock.Acquire(c)
-		v := c.Load(b.counter) + 1
-		c.StoreV(b.counter, v)
-		b.lock.Release(c)
-		if v == uint64(b.n) {
-			// Last arriver: reset the counter and flip the sense,
-			// releasing the spinners (S3).
-			c.StoreV(b.counter, 0)
-			if b.episodes != nil {
-				*b.episodes++
-			}
-			c.StoreV(b.sense, sense)
-			b.rec.complete(c.Now())
-			return
-		}
-		c.SpinUntilEq(b.sense, sense) // S2: busy-wait
-	})
 }
 
 // treeNode is one combining-tree node; lock, counter and sense sit on
@@ -137,15 +79,27 @@ type treeNode struct {
 	parent  int // index into nodes, -1 for the root
 }
 
-// CombiningTree is the DSW baseline: a binary combining tree. Cores are
-// split in pairs at the leaves; the last arriver of each node climbs, and
-// the release retraces the winners' paths top-down by flipping each node's
-// sense word.
+// CombiningTree is a lock-based sense-reversal combining tree, the shape of
+// both software baselines. Threads are grouped into leaf nodes, and each
+// level's nodes into parents, until one root is left; the last arriver of
+// each node climbs, and the release retraces the winners' paths top-down
+// by flipping each node's sense word.
+//
+//   - CSW is the one-node tree of radix n, exactly as the paper describes
+//     it: "a centralized sense-reversal barrier based on locks, where each
+//     core increments a centralized shared counter as it reaches the
+//     barrier, and spins until that counter indicates that all cores are
+//     present". All contention focuses on that node's lock, counter and
+//     sense lines — the hot spot the paper describes.
+//   - DSW is the binary tree (radix 2). Its node lines interleave across
+//     L2 banks, distributing the counters over the chip (the
+//     "distributed" in DSW).
 type CombiningTree struct {
+	kind     Kind
 	n        int
 	leafOf   []int // tid -> leaf node index
 	nodes    []treeNode
-	local    []uint64
+	local    []uint64 // per-thread sense (private, register-resident)
 	episodes *uint64
 	rec      *EpisodeRecorder
 	// useLLSC switches node increments from lock-protected load/store
@@ -154,48 +108,43 @@ type CombiningTree struct {
 	useLLSC bool
 }
 
-// NewCombiningTree builds the tree for n threads, allocating two lines per
-// node. Node lines interleave across L2 banks, distributing the counters
-// over the chip (the "distributed" in DSW).
+// NewCombiningTree builds the DSW binary tree for n threads.
 func NewCombiningTree(alloc *mem.Allocator, n int, episodes *uint64) *CombiningTree {
+	return newTree(KindDSW, alloc, n, 2, episodes)
+}
+
+// newTree builds a radix-ary tree for n threads, allocating each node's
+// lock, counter and sense lines level by level from the leaves.
+func newTree(kind Kind, alloc *mem.Allocator, n, radix int, episodes *uint64) *CombiningTree {
 	t := &CombiningTree{
+		kind:     kind,
 		n:        n,
 		leafOf:   make([]int, n),
 		local:    make([]uint64, n),
 		episodes: episodes,
 	}
-	// Level 0: leaves of arity <=2 over the threads.
-	level := make([]int, 0, (n+1)/2)
-	for i := 0; i < n; i += 2 {
-		arity := 2
-		if i+1 >= n {
-			arity = 1
-		}
-		idx := t.addNode(alloc, arity)
-		t.leafOf[i] = idx
-		if i+1 < n {
-			t.leafOf[i+1] = idx
-		}
-		level = append(level, idx)
-	}
-	// Upper levels: pair the winners.
-	for len(level) > 1 {
-		next := make([]int, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			arity := 2
-			if i+1 >= len(level) {
-				arity = 1
-			}
+	// below is the level being grouped: nil for the threads themselves.
+	var below []int
+	width := n
+	for {
+		level := make([]int, 0, (width+radix-1)/radix)
+		for i := 0; i < width; i += radix {
+			arity := min(radix, width-i)
 			idx := t.addNode(alloc, arity)
-			t.nodes[level[i]].parent = idx
-			if i+1 < len(level) {
-				t.nodes[level[i+1]].parent = idx
+			for j := i; j < i+arity; j++ {
+				if below == nil {
+					t.leafOf[j] = idx
+				} else {
+					t.nodes[below[j]].parent = idx
+				}
 			}
-			next = append(next, idx)
+			level = append(level, idx)
 		}
-		level = next
+		if len(level) == 1 {
+			return t
+		}
+		below, width = level, len(level)
 	}
-	return t
 }
 
 func (t *CombiningTree) addNode(alloc *mem.Allocator, arity int) int {
@@ -225,8 +174,8 @@ func (b *CombiningTree) inc(c *cpu.Ctx, nd *treeNode) uint64 {
 	return v
 }
 
-// Name returns "DSW".
-func (b *CombiningTree) Name() string { return string(KindDSW) }
+// Name returns the barrier's kind label, "CSW" or "DSW".
+func (b *CombiningTree) Name() string { return string(b.kind) }
 
 // Depth returns the tree height (levels of nodes), for tests.
 func (b *CombiningTree) Depth() int {
@@ -246,8 +195,11 @@ func (b *CombiningTree) Wait(c *cpu.Ctx, tid int) {
 		b.rec.arrive(c.Now())
 		sense := 1 - b.local[tid]
 		b.local[tid] = sense
-		// Climb while winning; remember the winners' path.
-		var path []int
+		// Climb while winning; remember the winners' path. The stack
+		// buffer's 8 levels hold a binary tree of up to 256 threads; a
+		// deeper path spills to the heap.
+		var buf [8]int
+		path := buf[:0]
 		wonRoot := false
 		node := b.leafOf[tid]
 		for {

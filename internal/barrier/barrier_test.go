@@ -302,7 +302,7 @@ func TestPropLLSCFetchAddLinearizable(t *testing.T) {
 
 func TestBarrierNames(t *testing.T) {
 	alloc := mem.NewAllocator(0, 64)
-	if NewCentralized(alloc, 2, nil).Name() != "CSW" {
+	if b, err := New(KindCSW, alloc, 2, nil, 0); err != nil || b.Name() != "CSW" {
 		t.Error("CSW name")
 	}
 	if NewCombiningTree(alloc, 2, nil).Name() != "DSW" {

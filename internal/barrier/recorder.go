@@ -52,8 +52,6 @@ type Recordable interface {
 	SetRecorder(*EpisodeRecorder)
 }
 
-// SetRecorder attaches an episode recorder to the centralized barrier.
-func (b *Centralized) SetRecorder(r *EpisodeRecorder) { b.rec = r }
-
-// SetRecorder attaches an episode recorder to the combining-tree barrier.
+// SetRecorder attaches an episode recorder to the combining-tree barrier
+// (CSW or DSW).
 func (b *CombiningTree) SetRecorder(r *EpisodeRecorder) { b.rec = r }

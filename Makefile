@@ -88,7 +88,10 @@ bench:
 
 # Machine-readable benchmark snapshot: BENCH_<date>.json carries the git
 # SHA and UTC timestamp the numbers were taken at plus one entry per
-# benchmark result, for diffing runs over time. The run is pinned to
+# benchmark result, for diffing runs over time. A later snapshot on the
+# same day takes the first free name of BENCH_<date>b.json,
+# BENCH_<date>c.json, ..., so no snapshot is overwritten and byte order
+# stays time order. The run is pinned to
 # -cpu 1, so benchmark names carry no -N GOMAXPROCS suffix and snapshots
 # from hosts with different CPU counts pair by name. The bench run lands in
 # a temp file first so a failing `go test -bench` propagates its exit code
@@ -96,17 +99,23 @@ bench:
 # unit token (ns/op, B/op, allocs/op) rather than by column, so benchmarks
 # with extra b.ReportMetric columns parse correctly. When an older
 # BENCH_*.json exists, cmd/benchdelta prints the per-benchmark delta
-# against the most recent one (it reads legacy bare-array snapshots too).
+# against the most recent one, picked before the new file is written (it
+# reads legacy bare-array snapshots too).
 # Set BENCH_FAIL_ABOVE=<pct> to turn the delta into a gate: the target
 # fails when any benchmark's ns/op regressed by more than that percentage.
 bench-json:
-	@tmp=$$(mktemp); \
+	@prev=$$(ls BENCH_*.json 2>/dev/null | LC_ALL=C sort | tail -1); \
+	day=$$(date +%Y%m%d); out=BENCH_$$day.json; \
+	for s in b c d e f g h i j k l m n o p q r s t u v w x y z; do \
+		[ -e "$$out" ] || break; out=BENCH_$$day$$s.json; \
+	done; \
+	if [ -e "$$out" ]; then echo "bench-json: no free BENCH_$$day*.json name" >&2; exit 1; fi; \
+	tmp=$$(mktemp); \
 	if ! go test -bench=. -benchmem -cpu 1 -run '^$$' ./... >"$$tmp" 2>&1; then \
 		cat "$$tmp"; rm -f "$$tmp"; \
 		echo "bench-json: benchmark run failed; no JSON written" >&2; exit 1; \
 	fi; \
 	cat "$$tmp"; \
-	prev=$$(ls BENCH_*.json 2>/dev/null | grep -v "BENCH_$$(date +%Y%m%d).json" | sort | tail -1); \
 	sha=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
 	ts=$$(date -u +%Y-%m-%dT%H:%M:%SZ); \
 	awk -v sha="$$sha" -v ts="$$ts" \
@@ -119,11 +128,11 @@ bench-json:
 		} \
 		if (n++) printf(",\n"); \
 		printf("  {\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}", $$1, $$2, ns, bytes, allocs) } \
-		END{print "\n]\n}"}' "$$tmp" > BENCH_$$(date +%Y%m%d).json; \
+		END{print "\n]\n}"}' "$$tmp" > "$$out"; \
 	rm -f "$$tmp"; \
-	echo "wrote BENCH_$$(date +%Y%m%d).json"; \
+	echo "wrote $$out"; \
 	if [ -n "$$prev" ]; then \
-		go run ./cmd/benchdelta $${BENCH_FAIL_ABOVE:+-fail-above $$BENCH_FAIL_ABOVE} "$$prev" BENCH_$$(date +%Y%m%d).json; \
+		go run ./cmd/benchdelta $${BENCH_FAIL_ABOVE:+-fail-above $$BENCH_FAIL_ABOVE} "$$prev" "$$out"; \
 	else echo "bench-json: no previous BENCH_*.json baseline; nothing to compare yet"; fi
 
 # Regenerate every paper table/figure at the repro tier (paper data sizes).

@@ -57,17 +57,22 @@ serve-chaos-smoke:
 	go test -race -count=1 ./internal/hostchaos/
 
 # Ten-second fuzz smoke per target — the fault-plan parser, the cache model,
-# the G-line barrier schedule and the engine's event queue against a sorted
-# reference: catches regressions without a dedicated fuzzing job.
+# the G-line barrier schedule, the engine's event queue against a sorted
+# reference, both chaos layers' .repro parsers and the host-fault plan
+# parser: catches regressions without a dedicated fuzzing job.
 fuzz-smoke:
 	go test -fuzz=FuzzParsePlan -fuzztime=10s -run '^$$' ./internal/fault
 	go test -fuzz=FuzzCacheOperations -fuzztime=10s -run '^$$' ./internal/cache
 	go test -fuzz=FuzzBarrierSchedule -fuzztime=10s -run '^$$' ./internal/core
 	go test -fuzz=FuzzEngineSchedule -fuzztime=10s -run '^$$' ./internal/engine
+	go test -fuzz=FuzzParseReproducer -fuzztime=10s -run '^$$' ./internal/chaos
+	go test -fuzz=FuzzParseHostPlan -fuzztime=10s -run '^$$' ./internal/serve/hostfault
 
 # Chaos smoke: replay the minimized-reproducer corpus (pinned oracle
-# verdicts), then explore a small fixed-seed campaign under every protocol
-# oracle. Deterministic and well under a minute; see DESIGN.md §9.
+# verdicts) and check the fixed-seed campaign against
+# testdata/chaos-campaign.golden, then explore that campaign (seed 7, 24
+# plans, every protocol oracle) through the CLI. Deterministic and well
+# under a minute; see DESIGN.md §9.
 chaos-smoke:
 	go test -run 'TestChaosCorpusReplay|TestChaosCampaignGolden' .
 	go run ./cmd/reproduce -seed 7 -budget 24 -corpus testdata/chaos-corpus chaos

@@ -199,3 +199,26 @@ func TestFiredSummary(t *testing.T) {
 		t.Fatalf("by-site = %v", fired)
 	}
 }
+
+// FuzzParseHostPlan checks that every plan ParsePlan accepts round-trips:
+// through String, and through FromAtoms(Atoms()), the minimizer's path.
+func FuzzParseHostPlan(f *testing.F) {
+	f.Add("seed=7,exec.panic#2,spill.readfail=0.5,slow.ms=1")
+	f.Add("exec.fail#3")
+	f.Add("seed=0,queue.stall=1,exec.slow=0x1p-3,spill.corrupt=0,exec.fail=0.25,exec.fail#1")
+	f.Add(",, ,")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil || p == nil {
+			return
+		}
+		back, err := ParsePlan(p.String())
+		if err != nil || back == nil || *back != *p {
+			t.Fatalf("String does not round-trip: %q -> %q -> %+v, %v", s, p.String(), back, err)
+		}
+		rebuilt, err := p.FromAtoms(p.Atoms())
+		if err != nil || rebuilt == nil || *rebuilt != *p {
+			t.Fatalf("FromAtoms(Atoms()) does not round-trip: %q -> %v -> %+v, %v", s, p.Atoms(), rebuilt, err)
+		}
+	})
+}

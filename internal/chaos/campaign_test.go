@@ -143,3 +143,18 @@ func TestCampaignReportMarshals(t *testing.T) {
 		t.Fatalf("JSON round-trip lost fields: %+v", back)
 	}
 }
+
+// A run that cannot build a system is a machinery error, counted under
+// Errors, never a liveness/no-progress verdict.
+func TestCampaignCountsSetupFailuresAsErrors(t *testing.T) {
+	cfg := smallCampaign(3)
+	cfg.Budget = 2
+	cfg.Run.Cores = 100_000_000 // past the 64-core limit: sim.New refuses it
+	rep, err := Campaign(cfg)
+	if err == nil {
+		t.Fatal("want the campaign to report its machinery errors")
+	}
+	if rep.Errors != 2 || rep.Runs != 0 || rep.Tripped != 0 {
+		t.Fatalf("want 2 errors and no verdicts, got %+v", rep)
+	}
+}

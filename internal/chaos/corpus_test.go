@@ -62,21 +62,20 @@ func TestCorpusReplayPinsVerdict(t *testing.T) {
 		t.Fatalf("want no-longer-trips error, got %v", err)
 	}
 	// An entry whose run shape cannot build a system must not replay
-	// green on the liveness oracle's no-progress verdict: it is refused at
-	// parse time or returned as a machinery error.
-	for _, shape := range []string{"cores: -4", "cores: 100000000", "iters: -3"} {
-		text := "plan: seed=1\noracle: liveness/no-progress\n" + shape + "\n"
-		r, err := ParseReproducer("bad-shape", text)
-		if err == nil {
-			var out Outcome
-			out, err = r.Replay()
-			if err != nil && out.Violations != nil {
-				t.Errorf("%s: a system that cannot be built was judged: %v", shape, out.Violations)
-			}
+	// green on the liveness oracle's no-progress verdict: negative counts
+	// are refused at parse time, and a system that cannot be built is a
+	// machinery error with no verdict.
+	for _, shape := range []string{"cores: -4", "iters: -3"} {
+		if _, err := ParseReproducer("bad-shape", "plan: seed=1\noracle: liveness/no-progress\n"+shape+"\n"); err == nil {
+			t.Errorf("%s: negative count parsed", shape)
 		}
-		if err == nil {
-			t.Errorf("%s: entry replayed green", shape)
-		}
+	}
+	r, err = ParseReproducer("too-many-cores", "plan: seed=1\noracle: liveness/no-progress\ncores: 100000000\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := r.Replay(); err == nil || !strings.Contains(err.Error(), "at most 64 cores") || out.Violations != nil {
+		t.Fatalf("want a machinery error and no verdict, got %v with %v", err, out.Violations)
 	}
 }
 

@@ -96,7 +96,6 @@ type treeNode struct {
 //     "distributed" in DSW).
 type CombiningTree struct {
 	kind     Kind
-	n        int
 	leafOf   []int // tid -> leaf node index
 	nodes    []treeNode
 	local    []uint64 // per-thread sense (private, register-resident)
@@ -118,7 +117,6 @@ func NewCombiningTree(alloc *mem.Allocator, n int, episodes *uint64) *CombiningT
 func newTree(kind Kind, alloc *mem.Allocator, n, radix int, episodes *uint64) *CombiningTree {
 	t := &CombiningTree{
 		kind:     kind,
-		n:        n,
 		leafOf:   make([]int, n),
 		local:    make([]uint64, n),
 		episodes: episodes,

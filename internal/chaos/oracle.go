@@ -90,6 +90,19 @@ func (vs Violations) Matches(target Violation) bool {
 	return false
 }
 
+// Pinned returns nil when vs matches target, and otherwise the drift error
+// a corpus replay reports: the pinned verdict and what tripped instead.
+func (vs Violations) Pinned(target Violation) error {
+	if vs.Matches(target) {
+		return nil
+	}
+	got := "no violation at all"
+	if v := vs.Tripped(); v != nil {
+		got = v.String()
+	}
+	return fmt.Errorf("plan no longer trips %s (got %s)", target.Key(), got)
+}
+
 // ParseVerdict parses an "oracle/kind" key back into a target Violation.
 // The oracle must be one of oracles, the names the caller's layer checks.
 func ParseVerdict(s string, oracles ...string) (Violation, error) {

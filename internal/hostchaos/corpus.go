@@ -89,12 +89,8 @@ func (r Reproducer) Replay() (*Outcome, error) {
 		}
 		return out, nil
 	}
-	if !out.Matches(r.Verdict) {
-		got := "no violation at all"
-		if v := out.Tripped(); v != nil {
-			got = v.String()
-		}
-		return out, fmt.Errorf("hostchaos: corpus %q: plan no longer trips %s (got %s)", r.Name, r.Verdict.Key(), got)
+	if err := out.Pinned(r.Verdict); err != nil {
+		return out, fmt.Errorf("hostchaos: corpus %q: %w", r.Name, err)
 	}
 	return out, nil
 }

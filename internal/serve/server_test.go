@@ -431,25 +431,27 @@ func TestDrain(t *testing.T) {
 		drained <- srv.Drain(ctx)
 	}()
 
-	// Submissions during drain bounce with 503. Drain may win the race to
-	// set the flag after the goroutine starts, so poll until observed.
+	// Drain sets its flag on its own goroutine. Poll the read-only health
+	// probe until it is set: polling by submission would let a submission
+	// that beats Drain become a third job.
 	deadline := time.After(10 * time.Second)
-	for {
-		body, _ := json.Marshal(map[string]string{"spec": "bench=SYNTH cores=8 tier=test"})
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
+	for getJSON(t, ts.URL+"/healthz", nil) != http.StatusServiceUnavailable {
 		select {
 		case <-deadline:
-			t.Fatal("drain never started rejecting submissions")
+			t.Fatal("drain never started")
 		default:
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	// Submissions during drain bounce with 503.
+	body, _ := json.Marshal(map[string]string{"spec": "bench=SYNTH cores=8 tier=test"})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submission during drain: HTTP %d, want 503", resp.StatusCode)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)

@@ -107,9 +107,9 @@ func ParseReproducer(name, text string) (Reproducer, error) {
 		case "oracle":
 			r.Verdict, err = ParseVerdict(val, OracleSafety, OracleLiveness, OracleConservation)
 		case "cores":
-			r.Cores, err = parseCount(val)
+			r.Cores, err = ParseCount(val)
 		case "iters":
-			r.Iters, err = parseCount(val)
+			r.Iters, err = ParseCount(val)
 		case "budget":
 			r.CycleBudget, err = strconv.ParseUint(val, 10, 64)
 		case "stall":
@@ -133,8 +133,9 @@ func ParseReproducer(name, text string) (Reproducer, error) {
 	return r, nil
 }
 
-// parseCount parses a non-negative run-shape count (cores, iterations).
-func parseCount(s string) (int, error) {
+// ParseCount parses a non-negative count of a corpus entry: a run shape
+// (cores, iterations) or an attempt bound.
+func ParseCount(s string) (int, error) {
 	n, err := strconv.ParseUint(s, 10, 31)
 	return int(n), err
 }

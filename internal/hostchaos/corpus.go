@@ -134,7 +134,7 @@ func ParseReproducer(name, text string) (Reproducer, error) {
 				err = errors.New("unknown expectation")
 			}
 		case "attempts":
-			r.Attempts, err = strconv.Atoi(val)
+			r.Attempts, err = chaos.ParseCount(val)
 		default:
 			err = errors.New("unknown key")
 		}

@@ -173,6 +173,10 @@ func TestCorpusRoundTrip(t *testing.T) {
 	if _, err := WriteCorpus(dir, Reproducer{Name: "bad", Plan: "seed=1,exec.fail#1"}); err == nil {
 		t.Fatal("entry without a pin must not validate")
 	}
+	// A negative attempt bound would silently become the run default.
+	if _, err := ParseReproducer("bad-attempts", "plan: seed=1,exec.fail#1\nexpect: quarantine\nattempts: -2\n"); err == nil {
+		t.Fatal("negative attempts parsed")
+	}
 }
 
 // The in-process kill/restart check: journaled jobs survive losing their

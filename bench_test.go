@@ -263,10 +263,25 @@ func BenchmarkSimThroughput(b *testing.B) {
 }
 
 // BenchmarkGLineBarrierStep measures the raw cost of one hardware barrier
-// episode in the G-line network model.
+// episode in the G-line network model: the flat 4x4 network of a 16-core
+// system.
 func BenchmarkGLineBarrierStep(b *testing.B) {
+	benchGLineBarrier(b, 16, 4)
+}
+
+// BenchmarkGLineBarrierStepClustered is BenchmarkGLineBarrierStep on the
+// clustered network of the 32-core (8x4) system, whose barrier takes 6
+// cycles.
+func BenchmarkGLineBarrierStepClustered(b *testing.B) {
+	benchGLineBarrier(b, 32, 6)
+}
+
+// benchGLineBarrier times episodes of simultaneous arrivals on the G-line
+// network of a system with the given core count, ticking it for the
+// barrier's ideal latency per episode.
+func benchGLineBarrier(b *testing.B, cores, ticks int) {
 	b.ReportAllocs()
-	sys, err := sim.New(config.Default(16))
+	sys, err := sim.New(config.Default(cores))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -276,15 +291,15 @@ func BenchmarkGLineBarrierStep(b *testing.B) {
 	cycle := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for c := 0; c < 16; c++ {
+		for c := 0; c < cores; c++ {
 			net.Arrive(c, 0)
 		}
-		for j := 0; j < 4; j++ {
+		for j := 0; j < ticks; j++ {
 			net.Tick(cycle)
 			cycle++
 		}
 	}
-	if released == 0 {
-		b.Fatal("no releases")
+	if released != cores*b.N {
+		b.Fatalf("released %d cores in %d episodes of %d", released, b.N, cores)
 	}
 }

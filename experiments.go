@@ -404,7 +404,12 @@ func AblationHierarchy(iters int, opt SweepOptions) (stats.Table, error) {
 			return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, 36, defaultCycleBudget)
 		}},
 		{Label: "hierarchy/clustered", Run: func() (*sim.Report, error) {
-			hier, err := core.NewHierarchical(6, 6, 3, cfg.GLMaxTransmitters, 1)
+			net, err := core.NewNetwork(core.NetworkConfig{
+				Cols: 6, Rows: 6,
+				MaxTransmitters: cfg.GLMaxTransmitters,
+				Contexts:        1,
+				Span:            3,
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -412,7 +417,7 @@ func AblationHierarchy(iters int, opt SweepOptions) (stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			swapGL(sys, hier)
+			sys.ReplaceGL(net)
 			return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, 36, defaultCycleBudget)
 		}},
 	}
@@ -452,7 +457,7 @@ func AblationTDM(cores int, contexts []int, iters int, opt SweepOptions) (stats.
 				if err != nil {
 					return nil, err
 				}
-				swapGL(sys, net)
+				sys.ReplaceGL(net)
 				return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, cores, defaultCycleBudget)
 			},
 		}
@@ -463,11 +468,6 @@ func AblationTDM(cores int, contexts []int, iters int, opt SweepOptions) (stats.
 		t.AddRow(fmt.Sprintf("%d", k), cellLatency(results[i], barriers))
 	}
 	return t, sweep.Errs(results)
-}
-
-// swapGL replaces a system's barrier network before any program launches.
-func swapGL(s *sim.System, gl sim.GLNetwork) {
-	s.ReplaceGL(gl)
 }
 
 // AblationSCSMA quantifies the paper's key sensing technique: with S-CSMA

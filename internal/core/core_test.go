@@ -15,12 +15,17 @@ type netHarness struct {
 
 func newNetHarness(t *testing.T, cols, rows, contexts int, mux MuxMode) *netHarness {
 	t.Helper()
-	net, err := NewNetwork(NetworkConfig{
+	return newHarness(t, NetworkConfig{
 		Cols: cols, Rows: rows,
 		MaxTransmitters: 6,
 		Contexts:        contexts,
 		Mux:             mux,
 	})
+}
+
+func newHarness(t *testing.T, cfg NetworkConfig) *netHarness {
+	t.Helper()
+	net, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -86,7 +91,7 @@ func TestFigure2Trace(t *testing.T) {
 		if !ctx.mastersH[r].mcnt {
 			t.Errorf("cycle 0: row %d Mcnt not set", r)
 		}
-		if !ctx.regs[2*r].flagH {
+		if !ctx.mastersH[r].flag {
 			t.Errorf("cycle 0: row %d flag not raised", r)
 		}
 	}
@@ -260,8 +265,8 @@ func TestLineTransmitterLimitPanics(t *testing.T) {
 func TestNetworkConfigValidation(t *testing.T) {
 	bad := []NetworkConfig{
 		{Cols: 0, Rows: 2, MaxTransmitters: 6, Contexts: 1},
-		{Cols: 8, Rows: 2, MaxTransmitters: 6, Contexts: 1}, // 7 slaves/row
-		{Cols: 2, Rows: 8, MaxTransmitters: 6, Contexts: 1},
+		{Cols: 100, Rows: 100, MaxTransmitters: 2, Contexts: 1}, // no span gives <=3 clusters
+		{Cols: 3, Rows: 3, MaxTransmitters: 1, Contexts: 1},
 		{Cols: 2, Rows: 2, MaxTransmitters: 0, Contexts: 1},
 		{Cols: 2, Rows: 2, MaxTransmitters: 6, Contexts: 0},
 	}

@@ -207,35 +207,3 @@ func TestEnergyAccounting(t *testing.T) {
 		t.Error("idle network accumulated active cycles")
 	}
 }
-
-func TestGateAndTriggerRelease(t *testing.T) {
-	h := newNetHarness(t, 2, 2, 1, MuxSpace)
-	if err := h.net.GateRelease(0, true); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 4; c++ {
-		h.net.Arrive(c, 0)
-	}
-	h.run(10)
-	if len(h.released) != 0 {
-		t.Fatal("gated context released on its own")
-	}
-	if h.net.Episodes() != 1 {
-		t.Fatal("gated context did not report completion")
-	}
-	h.net.TriggerRelease(0)
-	h.run(3)
-	if len(h.released) != 4 {
-		t.Fatalf("after trigger: released %d", len(h.released))
-	}
-}
-
-func TestTriggerWithoutCompletionPanics(t *testing.T) {
-	h := newNetHarness(t, 2, 2, 1, MuxSpace)
-	defer func() {
-		if recover() == nil {
-			t.Error("TriggerRelease on idle context did not panic")
-		}
-	}()
-	h.net.TriggerRelease(0)
-}

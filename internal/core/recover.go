@@ -8,24 +8,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// BarrierNetwork is the contract the recovery layer needs from a G-line
-// network: the simulator-facing surface plus the ability to re-arm a wedged
-// context. Both Network and Hierarchical satisfy it.
-type BarrierNetwork interface {
-	engine.Component
-	SetWaker(w engine.Waker)
-	Arrive(core int, barrierCtx int)
-	OnRelease(schedule func(delay uint64, fn func()), release func(core int))
-	SetParticipants(ctxID int, cores []int) error
-	Episodes() uint64
-	Toggles() uint64
-	LineCount() int
-	ActiveCycles() uint64
-	Steps() uint64
-	ResetContext(ctxID int) error
-	Contexts() int
-}
-
 // Metric names registered by the recovering guard. Exported: the
 // experiment tables read them from merged run reports.
 const (
@@ -81,7 +63,7 @@ type GuardObserver interface {
 // releases forward synchronously and the timeout never fires, so simulated
 // timing is bit-identical to the unwrapped network.
 type Recovering struct {
-	inner BarrierNetwork
+	inner *Network
 	rec   fault.Recovery
 	now   func() uint64
 	wake  engine.Waker
@@ -130,7 +112,7 @@ type guardCtx struct {
 
 // NewRecovering wraps inner for a CMP with the given core count. now must
 // report the current simulation cycle (the engine's clock).
-func NewRecovering(inner BarrierNetwork, cores int, rec fault.Recovery, now func() uint64) *Recovering {
+func NewRecovering(inner *Network, cores int, rec fault.Recovery, now func() uint64) *Recovering {
 	r := &Recovering{
 		inner: inner,
 		rec:   rec.WithDefaults(),
@@ -511,8 +493,3 @@ func (r *Recovering) ActiveCycles() uint64 { return r.inner.ActiveCycles() }
 
 // Steps delegates to the hardware.
 func (r *Recovering) Steps() uint64 { return r.inner.Steps() }
-
-// Unwrap exposes the guarded hardware network, so observability wiring
-// (timeline attachment, episode probes) can reach the concrete Network or
-// Hierarchical beneath the guard.
-func (r *Recovering) Unwrap() BarrierNetwork { return r.inner }

@@ -66,12 +66,12 @@ func TestGLEpisodeHistograms(t *testing.T) {
 }
 
 func TestGLEpisodeHistogramsHierarchical(t *testing.T) {
-	// 32 cores forces the hierarchical network with staggered releases —
-	// the case the meter's outstanding-drain logic exists for.
+	// 32 cores runs the clustered network: one latency sample per
+	// episode, taken at its first release.
 	rep := runBarriers(t, 32, 4, barrier.KindGL)
 	h := rep.Metrics.Histograms["barrier.gl.latency"]
 	if h.Count != 4 {
-		t.Errorf("hierarchical latency samples = %d, want 4", h.Count)
+		t.Errorf("clustered latency samples = %d, want 4", h.Count)
 	}
 }
 

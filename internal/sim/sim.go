@@ -25,9 +25,9 @@ import (
 // value works (addresses are synthetic).
 const heapBase = 0x1000_0000
 
-// GLNetwork is the interface both the flat and the hierarchical G-line
-// networks satisfy. The system registers it with the engine as a
-// component and hands it the resulting Waker.
+// GLNetwork is the barrier network the cores see: the G-line network
+// itself, or the recovering guard wrapped around it. The system registers
+// it with the engine as a component and hands it the resulting Waker.
 type GLNetwork interface {
 	engine.Component
 	SetWaker(w engine.Waker)
@@ -62,6 +62,7 @@ type System struct {
 	// snapshot alongside it.
 	Metrics *metrics.Registry
 
+	glNet    *core.Network // the G-line hardware beneath GL
 	glm      *glMeter
 	glSteps  *metrics.Counter // host work: G-line context steps
 	inj      *fault.Injector
@@ -76,9 +77,9 @@ type System struct {
 	guardObs core.GuardObserver
 }
 
-// New builds a system for the given configuration. A flat G-line network
-// is used when the mesh fits the electrical limit; otherwise a hierarchical
-// one is built automatically.
+// New builds a system for the given configuration. Its G-line network is
+// flat when the mesh fits the electrical limit and clustered otherwise (see
+// core.NewNetwork).
 func New(cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -93,10 +94,16 @@ func New(cfg config.Config) (*System, error) {
 		prot.SetInjector(inj)
 	}
 
-	var gl GLNetwork
+	var net *core.Network
 	if cfg.GLContexts > 0 {
 		var err error
-		gl, err = buildGL(cfg)
+		net, err = core.NewNetwork(core.NetworkConfig{
+			Cols:            cfg.MeshCols,
+			Rows:            cfg.MeshRows,
+			MaxTransmitters: cfg.GLMaxTransmitters,
+			Contexts:        cfg.GLContexts,
+			Mux:             core.MuxSpace,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -108,17 +115,18 @@ func New(cfg config.Config) (*System, error) {
 		Prot:    prot,
 		Memv:    memv,
 		Alloc:   mem.NewAllocator(heapBase, cfg.LineSize),
-		GL:      gl,
 		Metrics: metrics.NewRegistry(),
+		glNet:   net,
 		inj:     inj,
 	}
 	s.glSteps = s.Metrics.Counter(metricGLSteps)
 	if inj != nil {
 		inj.Bind(s.Metrics)
-		if gl != nil {
-			gl = s.instrumentGL(gl)
-			s.GL = gl
-		}
+	}
+	var gl GLNetwork
+	if net != nil {
+		gl = s.instrumentGL(net)
+		s.GL = gl
 	}
 	eng.StallLimit = DefaultStallLimit
 	s.Cores = make([]*cpu.Core, cfg.Cores)
@@ -140,70 +148,30 @@ func New(cfg config.Config) (*System, error) {
 	return s, nil
 }
 
-// instrumentGL hooks the fault injector into a G-line network and, unless
-// the plan opts out, wraps it in the recovering barrier protocol.
-func (s *System) instrumentGL(gl GLNetwork) GLNetwork {
-	switch g := gl.(type) {
-	case *core.Network:
-		g.SetInjector(s.inj)
-	case *core.Hierarchical:
-		g.SetInjector(s.inj)
+// instrumentGL hooks the fault injector, if any, into a G-line network
+// and, unless the plan opts out, wraps it in the recovering barrier
+// protocol.
+func (s *System) instrumentGL(net *core.Network) GLNetwork {
+	if s.inj == nil {
+		return net
 	}
+	net.SetInjector(s.inj)
 	if s.Cfg.Faults.Recovery.Disabled {
-		return gl
+		return net
 	}
-	bn, ok := gl.(core.BarrierNetwork)
-	if !ok {
-		// A custom network without ResetContext can be injected into but
-		// not guarded.
-		return gl
-	}
-	guard := core.NewRecovering(bn, s.Cfg.Cores, s.Cfg.Faults.Recovery, s.Eng.Now)
+	guard := core.NewRecovering(net, s.Cfg.Cores, s.Cfg.Faults.Recovery, s.Eng.Now)
 	guard.SetMetrics(s.Metrics)
 	return guard
 }
 
-// buildGL constructs the barrier network matching the mesh size.
-func buildGL(cfg config.Config) (GLNetwork, error) {
-	if cfg.GLFitsFlat() {
-		return core.NewNetwork(core.NetworkConfig{
-			Cols:            cfg.MeshCols,
-			Rows:            cfg.MeshRows,
-			MaxTransmitters: cfg.GLMaxTransmitters,
-			Contexts:        cfg.GLContexts,
-			Mux:             core.MuxSpace,
-		})
-	}
-	span, err := ChooseSpan(cfg.MeshCols, cfg.MeshRows, cfg.GLMaxTransmitters)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewHierarchical(cfg.MeshCols, cfg.MeshRows, span, cfg.GLMaxTransmitters, cfg.GLContexts)
-}
-
-// ChooseSpan picks the smallest balanced cluster span for a mesh exceeding
-// the flat limit, such that both the cluster dimensions and the number of
-// clusters respect the per-line transmitter limit.
-func ChooseSpan(cols, rows, maxTx int) (int, error) {
-	for span := 2; span <= maxTx+1; span++ {
-		gridC := (cols + span - 1) / span
-		gridR := (rows + span - 1) / span
-		if gridC*gridR-1 <= maxTx {
-			return span, nil
-		}
-	}
-	return 0, fmt.Errorf("sim: no single-level cluster span covers a %dx%d mesh with %d transmitters per line", cols, rows, maxTx)
-}
-
 // ReplaceGL swaps the barrier network before any program launches; used by
-// ablation studies to install hierarchical or time-multiplexed variants.
-func (s *System) ReplaceGL(gl GLNetwork) {
+// ablation studies to install clustered or time-multiplexed variants.
+func (s *System) ReplaceGL(net *core.Network) {
 	if s.launched > 0 {
 		panic("sim: ReplaceGL after Launch")
 	}
-	if s.inj != nil {
-		gl = s.instrumentGL(gl)
-	}
+	s.glNet = net
+	gl := s.instrumentGL(net)
 	s.GL = gl
 	if s.glm == nil {
 		s.glm = newGLMeter(gl, s.Eng, s.Cores, s.Metrics)

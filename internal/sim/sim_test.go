@@ -13,15 +13,15 @@ import (
 
 func TestHierarchicalAutoSelection(t *testing.T) {
 	// 32 cores = 8x4: exceeds the 6-transmitter flat limit, so New must
-	// build a hierarchical network transparently.
-	s := newTestSystem(t, 32)
-	if _, ok := s.GL.(*core.Hierarchical); !ok {
-		t.Fatalf("expected hierarchical network for 8x4 mesh, got %T", s.GL)
+	// build a clustered network transparently: 3x2 clusters (two rows of
+	// 3x3, 3x3, 2x3 and 3x1, 3x1, 2x1) of 8 or 4 lines each, plus the
+	// pair joining them.
+	if got := newTestSystem(t, 32).GL.LineCount(); got != 3*8+3*4+2 {
+		t.Fatalf("8x4 mesh: %d G-lines, want 38 (3x2 clusters)", got)
 	}
-	// 16 cores = 4x4: flat.
-	s16 := newTestSystem(t, 16)
-	if _, ok := s16.GL.(*core.Network); !ok {
-		t.Fatalf("expected flat network for 4x4 mesh, got %T", s16.GL)
+	// 16 cores = 4x4: flat, 2*(rows+1) lines.
+	if got := newTestSystem(t, 16).GL.LineCount(); got != 10 {
+		t.Fatalf("4x4 mesh: %d G-lines, want 10 (flat)", got)
 	}
 }
 
@@ -44,34 +44,10 @@ func TestGLBarrierOn32CoresHierarchical(t *testing.T) {
 	if rep.BarrierEpisodes != 2 {
 		t.Errorf("episodes=%d, want 2", rep.BarrierEpisodes)
 	}
-	// Hierarchical ideal: 6 cycles + 9 overhead = 15 per barrier.
+	// One cluster level: 6 cycles + 9 overhead = 15 per barrier.
 	perBarrier := float64(rep.Cycles) / 2
 	if perBarrier < 14 || perBarrier > 17 {
-		t.Errorf("hierarchical barrier cost %.1f cycles, want ~15", perBarrier)
-	}
-}
-
-func TestChooseSpan(t *testing.T) {
-	cases := []struct {
-		cols, rows, maxTx int
-		want              int
-	}{
-		{8, 8, 6, 4}, // 2x2 clusters of 4x4
-		{8, 4, 6, 3}, // 3x2 cluster grid (smallest span with <=7 clusters)
-		{14, 14, 6, 7},
-	}
-	for _, tc := range cases {
-		got, err := ChooseSpan(tc.cols, tc.rows, tc.maxTx)
-		if err != nil {
-			t.Errorf("ChooseSpan(%d,%d,%d): %v", tc.cols, tc.rows, tc.maxTx, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("ChooseSpan(%d,%d,%d)=%d, want %d", tc.cols, tc.rows, tc.maxTx, got, tc.want)
-		}
-	}
-	if _, err := ChooseSpan(100, 100, 2); err == nil {
-		t.Error("impossible span accepted")
+		t.Errorf("clustered barrier cost %.1f cycles, want ~15", perBarrier)
 	}
 }
 

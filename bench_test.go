@@ -8,6 +8,7 @@ package repro
 // `cmd/reproduce -tier repro all`.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -24,7 +25,7 @@ const benchCores = 32
 // mustRun executes one benchmark run for a testing.B iteration.
 func mustRun(b *testing.B, w Workload, kind BarrierKind, cores int) *Report {
 	b.Helper()
-	rep, err := runFresh(cores, w, kind)
+	rep, err := runFresh(context.Background(), cores, w, kind)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func BenchmarkAblation_GLOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := workload.Run(sys, synth, GL, 16, 1_000_000_000)
+			rep, err := workload.Run(context.Background(), sys, synth, GL, 16, 1_000_000_000)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -205,7 +206,7 @@ func BenchmarkAblation_DSWLockVsLLSC(b *testing.B) {
 			if useLLSC {
 				bar.(interface{ UseLLSC(bool) }).UseLLSC(true)
 			}
-			rep, err := workload.RunWith(sys, synth, bar, benchCores, 1_000_000_000)
+			rep, err := workload.RunWith(context.Background(), sys, synth, bar, benchCores, 1_000_000_000)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -91,7 +92,7 @@ func main() {
 	case *traceN > 0:
 		tl = sys.AttachTimeline(*traceN)
 	}
-	rep, err := workload.Run(sys, bench, kind, *threads, *maxCycles)
+	rep, err := workload.Run(context.Background(), sys, bench, kind, *threads, *maxCycles)
 	if *traceOut != "" {
 		// Write the timeline even when the run failed: a hang's trace is
 		// exactly when you want to open Perfetto.
@@ -162,10 +163,9 @@ func writeTrace(path string, tl *trace.Timeline, bench, kind string, cores int) 
 func verifyReplicas(cfg repro.Config, tier workload.Tier, benchName string, kind barrier.Kind, threads int, maxCycles uint64, n, jobs int) {
 	specs := make([]sweep.Spec, n)
 	for i := range specs {
-		i := i
 		specs[i] = sweep.Spec{
 			Label: fmt.Sprintf("replica%d", i),
-			Run: func() (*sim.Report, error) {
+			Run: func(ctx context.Context) (*sim.Report, error) {
 				// A fresh benchmark instance per replica: replicas must
 				// share nothing, or the check proves too little.
 				bench, err := workload.ByName(benchName, tier)
@@ -176,7 +176,7 @@ func verifyReplicas(cfg repro.Config, tier workload.Tier, benchName string, kind
 				if err != nil {
 					return nil, err
 				}
-				return workload.Run(sys, bench, kind, threads, maxCycles)
+				return workload.Run(ctx, sys, bench, kind, threads, maxCycles)
 			},
 		}
 	}

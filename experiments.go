@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -348,6 +349,26 @@ func RenderFig7(cmps []Comparison) stats.Table {
 // ---------------------------------------------------------------------------
 // Ablations — design-choice studies beyond the paper's figures.
 
+// synthCell is the sweep cell of one synthetic-loop ablation run on every
+// core of a fresh system built from cfg. When net is non-nil, a G-line
+// network built from it replaces the system's own.
+func synthCell(label string, cfg config.Config, net *core.NetworkConfig, kind BarrierKind, iters int) sweep.Spec {
+	return sweep.Spec{Label: label, Run: func(ctx context.Context) (*Report, error) {
+		sys, err := sim.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if net != nil {
+			gl, err := core.NewNetwork(*net)
+			if err != nil {
+				return nil, err
+			}
+			sys.ReplaceGL(gl)
+		}
+		return workload.Run(ctx, sys, &workload.Synthetic{Iters: iters}, kind, cfg.Cores, defaultCycleBudget)
+	}}
+}
+
 // cellLatency renders one ablation cell: cycles/barrier, or the error.
 func cellLatency(res sweep.Result, barriers uint64) string {
 	if res.Err != nil {
@@ -363,19 +384,9 @@ func AblationOverhead(cores int, overheads []uint64, iters int, opt SweepOptions
 	t := stats.Table{Header: []string{"CallOverhead", "cycles/barrier"}}
 	specs := make([]sweep.Spec, len(overheads))
 	for i, ov := range overheads {
-		ov := ov
-		specs[i] = sweep.Spec{
-			Label: fmt.Sprintf("overhead/%d", ov),
-			Run: func() (*sim.Report, error) {
-				cfg := config.Default(cores)
-				cfg.GLCallOverhead = ov
-				sys, err := sim.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, cores, defaultCycleBudget)
-			},
-		}
+		cfg := config.Default(cores)
+		cfg.GLCallOverhead = ov
+		specs[i] = synthCell(fmt.Sprintf("overhead/%d", ov), cfg, nil, GL, iters)
 	}
 	results := sweep.Run(opt, specs)
 	barriers := (&workload.Synthetic{Iters: iters}).Barriers(cores)
@@ -396,30 +407,13 @@ func AblationHierarchy(iters int, opt SweepOptions) (stats.Table, error) {
 		return t, fmt.Errorf("expected 6x6 mesh for 36 cores, got %dx%d", cfg.MeshCols, cfg.MeshRows)
 	}
 	specs := []sweep.Spec{
-		{Label: "hierarchy/flat", Run: func() (*sim.Report, error) {
-			sys, err := sim.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, 36, defaultCycleBudget)
-		}},
-		{Label: "hierarchy/clustered", Run: func() (*sim.Report, error) {
-			net, err := core.NewNetwork(core.NetworkConfig{
-				Cols: 6, Rows: 6,
-				MaxTransmitters: cfg.GLMaxTransmitters,
-				Contexts:        1,
-				Span:            3,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sys, err := sim.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			sys.ReplaceGL(net)
-			return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, 36, defaultCycleBudget)
-		}},
+		synthCell("hierarchy/flat", cfg, nil, GL, iters),
+		synthCell("hierarchy/clustered", cfg, &core.NetworkConfig{
+			Cols: 6, Rows: 6,
+			MaxTransmitters: cfg.GLMaxTransmitters,
+			Contexts:        1,
+			Span:            3,
+		}, GL, iters),
 	}
 	results := sweep.Run(opt, specs)
 	barriers := (&workload.Synthetic{Iters: iters}).Barriers(36)
@@ -440,27 +434,12 @@ func AblationTDM(cores int, contexts []int, iters int, opt SweepOptions) (stats.
 	}
 	specs := make([]sweep.Spec, len(contexts))
 	for i, k := range contexts {
-		k := k
-		specs[i] = sweep.Spec{
-			Label: fmt.Sprintf("tdm/%d", k),
-			Run: func() (*sim.Report, error) {
-				net, err := core.NewNetwork(core.NetworkConfig{
-					Cols: cfg.MeshCols, Rows: cfg.MeshRows,
-					MaxTransmitters: cfg.GLMaxTransmitters,
-					Contexts:        k,
-					Mux:             core.MuxTime,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sys, err := sim.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				sys.ReplaceGL(net)
-				return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, cores, defaultCycleBudget)
-			},
-		}
+		specs[i] = synthCell(fmt.Sprintf("tdm/%d", k), cfg, &core.NetworkConfig{
+			Cols: cfg.MeshCols, Rows: cfg.MeshRows,
+			MaxTransmitters: cfg.GLMaxTransmitters,
+			Contexts:        k,
+			Mux:             core.MuxTime,
+		}, GL, iters)
 	}
 	results := sweep.Run(opt, specs)
 	barriers := (&workload.Synthetic{Iters: iters}).Barriers(cores)
@@ -479,27 +458,12 @@ func AblationSCSMA(iters int, opt SweepOptions) (stats.Table, error) {
 	modes := []bool{false, true}
 	specs := make([]sweep.Spec, len(modes))
 	for i, serial := range modes {
-		serial := serial
-		specs[i] = sweep.Spec{
-			Label: fmt.Sprintf("scsma/serial=%v", serial),
-			Run: func() (*sim.Report, error) {
-				net, err := core.NewNetwork(core.NetworkConfig{
-					Cols: cfg.MeshCols, Rows: cfg.MeshRows,
-					MaxTransmitters: cfg.GLMaxTransmitters,
-					Contexts:        1,
-					SerialSignaling: serial,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sys, err := sim.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				sys.ReplaceGL(net)
-				return workload.Run(sys, &workload.Synthetic{Iters: iters}, GL, 49, defaultCycleBudget)
-			},
-		}
+		specs[i] = synthCell(fmt.Sprintf("scsma/serial=%v", serial), cfg, &core.NetworkConfig{
+			Cols: cfg.MeshCols, Rows: cfg.MeshRows,
+			MaxTransmitters: cfg.GLMaxTransmitters,
+			Contexts:        1,
+			SerialSignaling: serial,
+		}, GL, iters)
 	}
 	results := sweep.Run(opt, specs)
 	barriers := (&workload.Synthetic{Iters: iters}).Barriers(49)
@@ -567,21 +531,10 @@ func AblationRouterDepth(cores int, depths []uint64, iters int, opt SweepOptions
 	kinds := []BarrierKind{DSW, GL}
 	var specs []sweep.Spec
 	for _, d := range depths {
-		d := d
+		cfg := config.Default(cores)
+		cfg.RouterLatency = d
 		for _, kind := range kinds {
-			kind := kind
-			specs = append(specs, sweep.Spec{
-				Label: fmt.Sprintf("router/%d/%s", d, kind),
-				Run: func() (*sim.Report, error) {
-					cfg := config.Default(cores)
-					cfg.RouterLatency = d
-					sys, err := sim.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return workload.Run(sys, &workload.Synthetic{Iters: iters}, kind, cores, defaultCycleBudget)
-				},
-			})
+			specs = append(specs, synthCell(fmt.Sprintf("router/%d/%s", d, kind), cfg, nil, kind, iters))
 		}
 	}
 	results := sweep.Run(opt, specs)
@@ -606,10 +559,9 @@ func AblationProtocol(cores int, transfers int, opt SweepOptions) (stats.Table, 
 	modes := []bool{false, true}
 	specs := make([]sweep.Spec, len(modes))
 	for i, threeHop := range modes {
-		threeHop := threeHop
 		specs[i] = sweep.Spec{
 			Label: fmt.Sprintf("protocol/threeHop=%v", threeHop),
-			Run: func() (*sim.Report, error) {
+			Run: func(ctx context.Context) (*sim.Report, error) {
 				cfg := config.Default(cores)
 				cfg.ThreeHopOwnership = threeHop
 				sys, err := sim.New(cfg)
@@ -635,6 +587,7 @@ func AblationProtocol(cores int, transfers int, opt SweepOptions) (stats.Table, 
 						func(uint64) { ping(next) })
 				}
 				ping(a)
+				sys.Eng.Stop = ctx.Err
 				end, err := sys.Eng.Run(uint64(transfers)*100_000, func() bool { return left == 0 })
 				if err != nil {
 					return nil, err

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -93,10 +94,9 @@ func FaultStudy(tier Tier, cores int, rates []float64, opt SweepOptions) ([]Faul
 	var specs []sweep.Spec
 	for _, rate := range rates {
 		for _, series := range faultSeries {
-			rate, series := rate, series
 			specs = append(specs, sweep.Spec{
 				Label: fmt.Sprintf("faults/%g/%s", rate, series),
-				Run: func() (*sim.Report, error) {
+				Run: func(ctx context.Context) (*sim.Report, error) {
 					cfg := config.Default(cores)
 					plan := FaultPlan(rate)
 					kind := GL
@@ -117,7 +117,7 @@ func FaultStudy(tier Tier, cores int, rates []float64, opt SweepOptions) ([]Faul
 						sys.Eng.StallLimit = rawStallLimit
 					}
 					w := workload.SyntheticFor(tier)
-					return workload.Run(sys, w, kind, cores, defaultCycleBudget)
+					return workload.Run(ctx, sys, w, kind, cores, defaultCycleBudget)
 				},
 			})
 		}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -43,7 +44,7 @@ func runWithPlan(cores int, w Workload, kind BarrierKind, plan *fault.Plan) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return workload.Run(sys, w, kind, cores, defaultCycleBudget)
+	return workload.Run(context.Background(), sys, w, kind, cores, defaultCycleBudget)
 }
 
 // TestEmptyFaultPlanDoesNotChangeFingerprints reruns every golden cell with
@@ -59,7 +60,7 @@ func TestEmptyFaultPlanDoesNotChangeFingerprints(t *testing.T) {
 		c := c
 		specs[i] = sweep.Spec{
 			Label: c.key,
-			Run: func() (*Report, error) {
+			Run: func(context.Context) (*Report, error) {
 				return runWithPlan(goldenCores, c.w, c.kind, &fault.Plan{Seed: 0xfee1})
 			},
 		}
@@ -92,7 +93,7 @@ func TestFaultPlanFingerprintDeterminism(t *testing.T) {
 		i := i
 		specs[i] = sweep.Spec{
 			Label: fmt.Sprintf("replica%d", i),
-			Run: func() (*Report, error) {
+			Run: func(context.Context) (*Report, error) {
 				return runWithPlan(goldenCores, workload.TestSynthetic(), GL, FaultPlan(1e-3))
 			},
 		}
@@ -159,7 +160,7 @@ func TestGuardedRecoversWhereUnguardedWedges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Eng.StallLimit = rawStallLimit
-	rawRep, err := workload.Run(sys, workload.TestSynthetic(), GL, cores, defaultCycleBudget)
+	rawRep, err := workload.Run(context.Background(), sys, workload.TestSynthetic(), GL, cores, defaultCycleBudget)
 	if err == nil {
 		t.Fatalf("unguarded run completed under %q; expected a wedged barrier (fingerprint %s)", &raw, rawRep.Fingerprint())
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +77,7 @@ func TestDeterminismTwice(t *testing.T) {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			fp := func() string {
-				rep, err := runFresh(goldenCores, workload.TestSynthetic(), kind)
+				rep, err := runFresh(context.Background(), goldenCores, workload.TestSynthetic(), kind)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,10 +1,10 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/fault"
@@ -85,36 +85,6 @@ type CampaignReport struct {
 	Findings []Finding `json:"findings,omitempty"`
 }
 
-// outcomeTable collects exploration outcomes from the sweep workers under
-// a lock: a run abandoned by the sweep timeout may still write its slot
-// later, harmlessly, while the campaign only reads after sweep.Run returns
-// (and ignores slots whose sweep result says timeout).
-type outcomeTable struct {
-	mu sync.Mutex
-	//glvet:guardedby mu
-	outcomes []Outcome
-	//glvet:guardedby mu
-	wrote []bool
-}
-
-func newOutcomeTable(n int) *outcomeTable {
-	return &outcomeTable{outcomes: make([]Outcome, n), wrote: make([]bool, n)}
-}
-
-// put records slot i's outcome.
-func (t *outcomeTable) put(i int, out Outcome) {
-	t.mu.Lock()
-	t.outcomes[i], t.wrote[i] = out, true
-	t.mu.Unlock()
-}
-
-// get reads slot i; ok reports whether the slot was ever written.
-func (t *outcomeTable) get(i int) (out Outcome, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.outcomes[i], t.wrote[i]
-}
-
 // Campaign explores Budget generated fault plans on the sweep worker pool,
 // then sequentially (and deterministically) delta-debugs up to MaxFindings
 // oracle trips into minimal reproducers. The exploration order, the plans
@@ -129,15 +99,16 @@ func Campaign(cfg CampaignConfig) (*CampaignReport, error) {
 		plans[i] = gen.plan()
 	}
 
-	table := newOutcomeTable(cfg.Budget)
+	// Each cell writes only its own slot, and sweep.Run returns once every
+	// cell has returned.
+	outcomes := make([]Outcome, cfg.Budget)
 	specs := make([]sweep.Spec, cfg.Budget)
 	for i := range specs {
-		i := i
 		specs[i] = sweep.Spec{
 			Label: fmt.Sprintf("chaos-%04d", i),
-			Run: func() (*sim.Report, error) {
-				out, err := runPlan(cfg.Run, plans[i])
-				table.put(i, out)
+			Run: func(ctx context.Context) (*sim.Report, error) {
+				out, err := runPlan(ctx, cfg.Run, plans[i])
+				outcomes[i] = out
 				return out.Report, err
 			},
 		}
@@ -152,15 +123,10 @@ func Campaign(cfg CampaignConfig) (*CampaignReport, error) {
 		Iters:   cfg.Run.Iters,
 	}
 	var errs []error
-	for i := 0; i < cfg.Budget; i++ {
-		out, ok := table.get(i)
-		if results[i].Err != nil || !ok {
+	for i, out := range outcomes {
+		if results[i].Err != nil {
 			rep.Errors++
-			err := results[i].Err
-			if err == nil {
-				err = fmt.Errorf("%s: no outcome recorded", results[i].Label)
-			}
-			errs = append(errs, err)
+			errs = append(errs, results[i].Err)
 			continue
 		}
 		rep.Runs++

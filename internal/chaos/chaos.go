@@ -26,6 +26,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 
@@ -114,7 +115,7 @@ type Outcome struct {
 // seen the violating event. A config that cannot build or launch a system
 // gets no verdict: its error lands in RunErr with no violations.
 func RunPlan(cfg RunConfig, plan *fault.Plan) Outcome {
-	out, err := runPlan(cfg, plan)
+	out, err := runPlan(context.TODO(), cfg, plan)
 	if err != nil {
 		out.RunErr = err.Error()
 	}
@@ -123,13 +124,14 @@ func RunPlan(cfg RunConfig, plan *fault.Plan) Outcome {
 
 // runPlan is RunPlan with a failure to build or launch the system returned
 // as a machinery error instead of recorded in the outcome: Replay and
-// Campaign report it as such, never as a verdict.
-func runPlan(cfg RunConfig, plan *fault.Plan) (Outcome, error) {
+// Campaign report it as such, never as a verdict. A run stopped because
+// ctx ended records the stop in RunErr.
+func runPlan(ctx context.Context, cfg RunConfig, plan *fault.Plan) (Outcome, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := config.Default(cfg.Cores)
 	sysCfg.Faults = plan
 	p := newProbe(cfg.Cores, livenessBound(plan, cfg.CycleBudget), cfg.Oracles)
-	rep, tl, runErr, setupErr := runProtected(sysCfg, cfg, p)
+	rep, tl, runErr, setupErr := runProtected(ctx, sysCfg, cfg, p)
 	out := Outcome{Report: rep, Timeline: tl}
 	if setupErr != nil {
 		return out, setupErr
@@ -146,7 +148,7 @@ func runPlan(cfg RunConfig, plan *fault.Plan) (Outcome, error) {
 // that could not be built or launched; runErr a run that failed, with a
 // panic converted into one so one crashing plan degrades one campaign
 // slot, not the process.
-func runProtected(sysCfg config.Config, cfg RunConfig, p *probe) (rep *sim.Report, tl *trace.Timeline, runErr, setupErr error) {
+func runProtected(ctx context.Context, sysCfg config.Config, cfg RunConfig, p *probe) (rep *sim.Report, tl *trace.Timeline, runErr, setupErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			runErr = fmt.Errorf("chaos: run panicked: %v\n%s", r, debug.Stack())
@@ -157,6 +159,7 @@ func runProtected(sysCfg config.Config, cfg RunConfig, p *probe) (rep *sim.Repor
 		return nil, nil, nil, err
 	}
 	sys.Eng.StallLimit = cfg.StallLimit
+	sys.Eng.Stop = ctx.Err
 	if cfg.TraceCapacity > 0 {
 		tl = sys.AttachTimeline(cfg.TraceCapacity)
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -65,7 +66,7 @@ func (r Reproducer) Replay() (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("chaos: corpus %q: %w", r.Name, err)
 	}
-	out, err := runPlan(r.runConfig(), plan)
+	out, err := runPlan(context.TODO(), r.runConfig(), plan)
 	if err == nil {
 		err = out.Pinned(r.Verdict)
 	}

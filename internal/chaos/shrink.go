@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"repro/internal/fault"
 )
 
@@ -79,7 +80,7 @@ func Minimize(cfg RunConfig, plan *fault.Plan, target Violation, maxRuns int) (*
 			return false
 		}
 		stats.Runs++
-		out, err := runPlan(cfg, p)
+		out, err := runPlan(context.TODO(), cfg, p)
 		return err == nil && out.Matches(target)
 	}
 	atoms = DDMin(atoms, func(c []atom) bool { return fails(assemble(plan, c)) })

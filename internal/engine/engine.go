@@ -159,6 +159,12 @@ type Engine struct {
 	// event executes for this many consecutive cycles, Run aborts with a
 	// stall error instead of burning the whole cycle budget. 0 disables.
 	StallLimit uint64
+	// Stop, when set, is polled every stopPoll iterations of Run's loop; a
+	// non-nil result ends Run at the current cycle with an error wrapping
+	// it. Callers set it to a context's Err so a cancelled run ends. The
+	// poll only ends runs: a run it never stops is bit-identical to one
+	// without it.
+	Stop func() error
 
 	reg       *metrics.Registry
 	executed  *metrics.Counter
@@ -535,13 +541,17 @@ func (e *Engine) jump(to uint64) {
 	e.advance(to)
 }
 
+// stopPoll is how many iterations of Run's loop pass between polls of
+// Engine.Stop.
+const stopPoll = 1024
+
 // Run drives the simulation until done() reports true or no work remains or
 // maxCycles elapses, stepping only cycles on which an event or a component
 // is due and fast-forwarding over the rest. It returns the cycle at which it
 // stopped and an error if the cycle budget was exhausted with work still
-// pending, or — when StallLimit is set — if components stayed busy without
-// a single event executing for StallLimit consecutive cycles (a livelocked
-// spin).
+// pending, if Stop reported an error, or — when StallLimit is set — if
+// components stayed busy without a single event executing for StallLimit
+// consecutive cycles (a livelocked spin).
 //
 // Skipped cycles are accounted exactly as if each had been stepped: while
 // a component is busy, Run stops on the cycle after the last program
@@ -549,9 +559,14 @@ func (e *Engine) jump(to uint64) {
 // none is, it jumps straight to the next event, as an idle system would.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	var idle uint64 // consecutive busy cycles with no event executed
-	for e.now < maxCycles {
+	for iter := uint64(1); e.now < maxCycles; iter++ {
 		if done() {
 			return e.now, nil
+		}
+		if e.Stop != nil && iter%stopPoll == 0 {
+			if err := e.Stop(); err != nil {
+				return e.now, fmt.Errorf("engine: stopped at cycle %d: %w", e.now, err)
+			}
 		}
 		before := e.executed.Value()
 		e.Step()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,65 @@ func TestStallWatchdogFires(t *testing.T) {
 	}
 	if end >= 1_000_000 {
 		t.Fatalf("watchdog should abort well before the budget, stopped at %d", end)
+	}
+}
+
+// TestStopHookEndsRun: a hook that errors on its k-th poll ends Run within
+// (k+1)·stopPoll loop iterations, with an error wrapping the hook's.
+func TestStopHookEndsRun(t *testing.T) {
+	const k = 3
+	errStop := errors.New("stop requested")
+	e := New()
+	addAwake(e, spinComp{})
+	polls := 0
+	e.Stop = func() error {
+		if polls++; polls == k {
+			return errStop
+		}
+		return nil
+	}
+	iters := 0
+	end, err := e.Run(1_000_000, func() bool { iters++; return false })
+	if !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want one wrapping the hook's error", err)
+	}
+	if polls != k || iters > (k+1)*stopPoll {
+		t.Fatalf("stopped after %d polls and %d iterations, want %d polls within %d iterations", polls, iters, k, (k+1)*stopPoll)
+	}
+	if end != e.Now() || end >= 1_000_000 {
+		t.Fatalf("stopped at %d (Now %d), want the current cycle, before the budget", end, e.Now())
+	}
+}
+
+// TestStopHookNeverAltersRun: a hook that always returns nil leaves a run
+// that steps, fast-forwards and outlives many polls exactly as it was.
+func TestStopHookNeverAltersRun(t *testing.T) {
+	run := func(stop func() error) (end, executed uint64) {
+		e := New()
+		e.Stop = stop
+		addAwake(e, &countComp{active: 3000})
+		left := 5000
+		var next func()
+		next = func() {
+			if left--; left > 0 {
+				e.After(uint64(1+left%7), next)
+			}
+		}
+		e.At(0, next)
+		end, err := e.Run(10_000_000, func() bool { return left == 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end, e.Metrics().Snapshot().Counters["engine.events.executed"]
+	}
+	polls := 0
+	wantEnd, wantExec := run(nil)
+	end, exec := run(func() error { polls++; return nil })
+	if polls == 0 {
+		t.Fatal("the hook was never polled")
+	}
+	if end != wantEnd || exec != wantExec {
+		t.Fatalf("with a nil-returning hook: end %d, executed %d; without: end %d, executed %d", end, exec, wantEnd, wantExec)
 	}
 }
 

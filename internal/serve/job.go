@@ -229,10 +229,10 @@ func (j *job) start(nowMs int64) bool {
 	return true
 }
 
-// finishCell records one cell's outcome. Late writes from abandoned cell
-// goroutines (a timed-out or canceled cell whose simulation eventually
-// completed) are dropped: once a cell or the whole job is terminal its
-// state never changes again.
+// finishCell records one cell's outcome. A cell returning after its job
+// turned terminal (Cancel and a forced drain finalize the job before its
+// running cells return) is dropped: once a cell or the whole job is
+// terminal its state never changes again.
 func (j *job) finishCell(i int, e *Entry, cached, shared bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

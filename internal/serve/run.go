@@ -8,10 +8,7 @@ import (
 )
 
 // RunCell is the default CellRunner: a fresh system per cell, the workload
-// run to completion. The simulator core is not interruptible mid-run —
-// cancellation is handled one level up, where internal/sweep abandons the
-// goroutine and the eventual result still lands in the cache (work already
-// paid for is never discarded).
+// run to completion or until ctx ends, which stops the simulation.
 func RunCell(ctx context.Context, c Cell) (*sim.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -25,5 +22,5 @@ func RunCell(ctx context.Context, c Cell) (*sim.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return workload.Run(sys, bench, c.Barrier, c.Threads, c.MaxCycles)
+	return workload.Run(ctx, sys, bench, c.Barrier, c.Threads, c.MaxCycles)
 }

@@ -475,23 +475,20 @@ func (s *Server) JobStatuses() []JobStatus {
 }
 
 // Cancel aborts a job; queued cells are skipped, in-flight cells are
-// abandoned. Canceling a terminal job is a no-op returning false.
+// stopped. Canceling a terminal job is a no-op returning false.
 func (s *Server) Cancel(id string) bool {
 	j, ok := s.Job(id)
 	if !ok {
 		return false
 	}
-	j.mu.Lock()
-	terminal := j.state.terminal()
-	j.mu.Unlock()
-	if terminal {
+	// A queued job never reaches its executor slot's finish path, so it is
+	// finalized here; so is a running one, before its context ends: its
+	// stopped cells would otherwise let runJob finish it first.
+	if !s.finish(j, StateCanceled, "canceled by client") {
 		return false
 	}
 	j.cancel()
-	// A queued job never reaches its executor slot's finish path, so it is
-	// finalized here; so is a running one, whose runJob then finds it
-	// terminal.
-	return s.finish(j, StateCanceled, "canceled by client")
+	return true
 }
 
 // finish moves j to a terminal state and counts it under that state. A job
@@ -570,11 +567,14 @@ func (s *Server) runJob(j *job) {
 		cell := j.cells[i]
 		specs[i] = sweep.Spec{
 			Label: cell.Label(),
-			Run: func() (*sim.Report, error) {
-				e, cached, shared, err := s.resolveCell(j.ctx, cell, j)
+			Run: func(ctx context.Context) (*sim.Report, error) {
+				e, cached, shared, err := s.resolveCell(ctx, cell, j)
 				j.finishCell(i, e, cached, shared, err)
 				if err != nil {
-					s.count(s.m.cellsFailed, 1)
+					// A canceled job's cells were stopped, not failed.
+					if j.ctx.Err() == nil {
+						s.count(s.m.cellsFailed, 1)
+					}
 					return nil, err
 				}
 				// The report already lives in the cache entry; the sweep
@@ -584,8 +584,9 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	results := sweep.Run(sweep.Options{
-		Jobs: s.opts.cellWorkers(),
-		Ctx:  j.ctx,
+		Jobs:    s.opts.cellWorkers(),
+		Timeout: s.opts.CellTimeout,
+		Ctx:     j.ctx,
 	}, specs)
 
 	switch err := sweep.Errs(results); {

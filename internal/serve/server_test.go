@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // testServer wires a Server to an httptest frontend.
@@ -288,7 +289,7 @@ func TestCancelMidJob(t *testing.T) {
 	if cs := final.Cells[0].State; !cs.terminal() {
 		t.Fatalf("cell state %s not terminal", cs)
 	}
-	// Releasing the abandoned runner later must not corrupt the job.
+	// Releasing the runner later must not corrupt the job.
 	close(runner.release)
 	time.Sleep(20 * time.Millisecond)
 	again := waitTerminal(t, srv, st.ID)
@@ -305,6 +306,72 @@ func TestCancelMidJob(t *testing.T) {
 		t.Fatalf("double cancel: HTTP %d, want 409", resp2.StatusCode)
 	}
 	checkJobTotals(t, srv, 1)
+}
+
+// TestCancelFlightLeaderFollowerReruns cancels the job whose cell leads a
+// flight while a second job waits on the same fingerprint. The leader's
+// run stops; the follower, whose own context is live, runs the cell itself
+// and ends done. The canceled job's stopped cell does not count as failed.
+func TestCancelFlightLeaderFollowerReruns(t *testing.T) {
+	runner := newBlockingRunner(t)
+	srv, _ := testServer(t, Options{ConcurrentJobs: 2, CellWorkers: 1, Runner: runner.run})
+	const spec = "bench=SYNTH barrier=GL cores=8 tier=test"
+	leader, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-runner.started // the leader is mid-cell
+	follower, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := leader.cells[0].Fingerprint()
+	for deadline := time.Now().Add(10 * time.Second); srv.flight.waiting(fp) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second job never joined the flight")
+		}
+	}
+	if !srv.Cancel(leader.id) {
+		t.Fatal("cancel of the leader's job failed")
+	}
+	<-runner.started // the follower re-runs the cell as the new leader
+	close(runner.release)
+	if st := waitTerminal(t, srv, follower.id); st.State != StateDone {
+		t.Fatalf("follower job: %+v", st)
+	}
+	if st := waitTerminal(t, srv, leader.id); st.State != StateCanceled {
+		t.Fatalf("leader job state %s, want canceled", st.State)
+	}
+	if got := runner.runs.Load(); got != 2 {
+		t.Fatalf("runner ran %d times, want 2 (the stopped leader, then the follower)", got)
+	}
+	if n := srv.Stats().Counters[metricCellsFailed]; n != 0 {
+		t.Fatalf("serve.cells.failed = %d, want 0", n)
+	}
+}
+
+// TestCellTimeoutStopsCell runs a repro-tier cell on the real runner under
+// a 200 ms CellTimeout: the job fails on the sweep timeout within a second,
+// and the stopped cell is neither retried nor quarantined.
+func TestCellTimeoutStopsCell(t *testing.T) {
+	srv, _ := testServer(t, Options{ConcurrentJobs: 1, CellWorkers: 1, CellTimeout: 200 * time.Millisecond})
+	j, err := srv.Submit("bench=UNSTR barrier=CSW cores=32 tier=repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.finished:
+	case <-time.After(time.Second):
+		t.Fatalf("job still %s a second after submit", j.status().State)
+	}
+	st := j.status()
+	if st.State != StateFailed || !strings.Contains(st.Error, sweep.ErrTimeout.Error()) {
+		t.Fatalf("job %s (%q), want failed on %q", st.State, st.Error, sweep.ErrTimeout)
+	}
+	c := srv.Stats().Counters
+	if c[MetricCellRetries] != 0 || c[MetricCellsQuarantined] != 0 {
+		t.Fatalf("retries=%d quarantined=%d, want 0 and 0", c[MetricCellRetries], c[MetricCellsQuarantined])
+	}
 }
 
 // checkJobTotals drains srv, so every executor has returned, then requires

@@ -34,10 +34,11 @@ import (
 )
 
 // Spec is one independent cell of a sweep: a label for error reporting and
-// a self-contained run building its own fresh system.
+// a self-contained run building its own fresh system. Run must return soon
+// after ctx ends; a simulation does so by polling it (engine.Engine.Stop).
 type Spec struct {
 	Label string
-	Run   func() (*sim.Report, error)
+	Run   func(ctx context.Context) (*sim.Report, error)
 }
 
 // Options configure how a sweep executes. The zero value runs one worker
@@ -54,15 +55,13 @@ type Options struct {
 	// write failure is recorded on the cell's Err without stopping others.
 	ArtifactDir string
 	// Timeout bounds each cell's wall-clock run time; 0 means unbounded.
-	// A cell past its deadline records ErrTimeout and its worker moves on;
-	// the abandoned run keeps its goroutine until its own cycle budget or
-	// watchdog ends it, but can no longer touch the sweep's results.
+	// The deadline ends the cell's context, and the cell records
+	// ErrTimeout.
 	Timeout time.Duration
 	// Ctx, when non-nil, aborts the sweep: cells that have not started when
-	// the context is canceled record ErrAborted, and a cell in flight is
-	// abandoned (like a timeout) so Run returns promptly. A nil Ctx — every
-	// pre-existing call site — is context.Background() and executes
-	// bit-identically to before the field existed.
+	// the context is canceled record ErrAborted, and so does a cell in
+	// flight, whose own context ends with it. A nil Ctx is
+	// context.Background().
 	Ctx context.Context
 }
 
@@ -101,18 +100,18 @@ func (r Result) Fingerprint() string {
 // ErrCanceled marks cells skipped under FailFast after an earlier failure.
 var ErrCanceled = errors.New("sweep: canceled after earlier failure")
 
-// ErrTimeout marks cells abandoned after exceeding Options.Timeout.
+// ErrTimeout marks cells stopped after exceeding Options.Timeout.
 var ErrTimeout = errors.New("sweep: cell exceeded timeout")
 
-// ErrAborted marks cells skipped or abandoned because Options.Ctx was
+// ErrAborted marks cells skipped or stopped because Options.Ctx was
 // canceled (a job abort or server drain).
 var ErrAborted = errors.New("sweep: aborted by context")
 
 // Run executes every spec on opts.jobs() workers and returns one Result
-// per spec, in submission order. It never returns early: with FailFast
-// off, every cell runs to completion; with FailFast on, cells that have
-// not yet started when a failure lands are marked ErrCanceled. A panic
-// inside a cell is recovered into that cell's Err.
+// per spec, in submission order, once every cell has returned. With
+// FailFast off, every cell runs to completion; with FailFast on, cells
+// that have not yet started when a failure lands are marked ErrCanceled.
+// A panic inside a cell is recovered into that cell's Err.
 func Run(opts Options, specs []Spec) []Result {
 	results := make([]Result, len(specs))
 	if opts.ArtifactDir != "" {
@@ -230,48 +229,34 @@ func sanitizeLabel(label string) string {
 
 // protect runs one cell, converting a panic into an error so a bad cell
 // cannot take down the whole sweep.
-func protect(run func() (*sim.Report, error)) (rep *sim.Report, err error) {
+func protect(ctx context.Context, run func(context.Context) (*sim.Report, error)) (rep *sim.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("run panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return run()
+	return run(ctx)
 }
 
-// runCell executes one cell under the optional wall-clock deadline and
-// cancellation context. With neither (nil-Done context, zero timeout) the
-// cell runs directly on the worker goroutine — the pre-context code path,
-// bit-identical for existing call sites. Otherwise the cell runs on its
-// own goroutine delivering through a buffered channel, so a timed-out or
-// aborted run can finish (or crash) later without racing the worker.
-func runCell(ctx context.Context, run func() (*sim.Report, error), timeout time.Duration) (*sim.Report, error) {
-	if timeout <= 0 && ctx.Done() == nil {
-		return protect(run)
-	}
-	type outcome struct {
-		rep *sim.Report
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		rep, err := protect(run)
-		ch <- outcome{rep, err}
-	}()
-	var deadline <-chan time.Time
+// runCell runs one cell on the calling worker under its own context: ctx,
+// bounded by timeout when one is set. A cell whose context ended before it
+// returned records ErrAborted (ctx ended) or ErrTimeout (its deadline
+// passed), whatever it returned.
+func runCell(ctx context.Context, run func(context.Context) (*sim.Report, error), timeout time.Duration) (*sim.Report, error) {
+	cellCtx := ctx
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		deadline = timer.C
+		var cancel context.CancelFunc
+		cellCtx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	select {
-	case o := <-ch:
-		return o.rep, o.err
-	case <-deadline:
-		return nil, fmt.Errorf("%w (%v)", ErrTimeout, timeout)
-	case <-ctx.Done():
+	rep, err := protect(cellCtx, run)
+	switch {
+	case ctx.Err() != nil:
 		return nil, fmt.Errorf("%w: %v", ErrAborted, context.Cause(ctx))
+	case cellCtx.Err() != nil:
+		return nil, fmt.Errorf("%w (%v)", ErrTimeout, timeout)
 	}
+	return rep, err
 }
 
 // Errs joins the errors of all failed cells (nil when every cell

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func grid(n int) []Spec {
 		i := i
 		specs[i] = Spec{
 			Label: fmt.Sprintf("cell%d", i),
-			Run:   func() (*sim.Report, error) { return fakeReport(i), nil },
+			Run:   func(context.Context) (*sim.Report, error) { return fakeReport(i), nil },
 		}
 	}
 	return specs
@@ -68,7 +69,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestPanickingCellIsIsolated(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		specs := grid(9)
-		specs[4] = Spec{Label: "boom", Run: func() (*sim.Report, error) { panic("kaboom") }}
+		specs[4] = Spec{Label: "boom", Run: func(context.Context) (*sim.Report, error) { panic("kaboom") }}
 		results := Run(Options{Jobs: jobs}, specs)
 		for i, r := range results {
 			if i == 4 {
@@ -98,7 +99,7 @@ func TestPanickingCellIsIsolated(t *testing.T) {
 func TestFailFastSequential(t *testing.T) {
 	specs := grid(6)
 	sentinel := errors.New("cell died")
-	specs[2] = Spec{Label: "bad", Run: func() (*sim.Report, error) { return nil, sentinel }}
+	specs[2] = Spec{Label: "bad", Run: func(context.Context) (*sim.Report, error) { return nil, sentinel }}
 	results := Run(Options{Jobs: 1, FailFast: true}, specs)
 	for i, r := range results {
 		switch {
@@ -119,21 +120,24 @@ func TestFailFastSequential(t *testing.T) {
 }
 
 // TestFailFastParallel exercises cancellation across workers: the first
-// cell fails and closes a gate the second cell waits on, so by the time
-// any later cell is pulled the failure has landed and it must be canceled.
+// cell fails and closes a gate the second cell waits on. The gate closes
+// just before the first cell returns, so the second lingers 50 ms more;
+// by the time any later cell is pulled the failure has landed and it must
+// be canceled.
 func TestFailFastParallel(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	sentinel := errors.New("first cell died")
 	specs := []Spec{
-		{Label: "fail", Run: func() (*sim.Report, error) {
+		{Label: "fail", Run: func(context.Context) (*sim.Report, error) {
 			<-started // don't fail until the second cell is in flight
 			defer close(gate)
 			return nil, sentinel
 		}},
-		{Label: "inflight", Run: func() (*sim.Report, error) {
+		{Label: "inflight", Run: func(context.Context) (*sim.Report, error) {
 			close(started)
 			<-gate // started before the failure: must still finish
+			time.Sleep(50 * time.Millisecond)
 			return fakeReport(1), nil
 		}},
 	}
@@ -141,7 +145,7 @@ func TestFailFastParallel(t *testing.T) {
 		i := i
 		specs = append(specs, Spec{
 			Label: fmt.Sprintf("later%d", i),
-			Run:   func() (*sim.Report, error) { <-gate; return fakeReport(i), nil },
+			Run:   func(context.Context) (*sim.Report, error) { <-gate; return fakeReport(i), nil },
 		})
 	}
 	results := Run(Options{Jobs: 2, FailFast: true}, specs)
@@ -164,7 +168,7 @@ func TestFailFastParallel(t *testing.T) {
 // cell must not abort the sweep.
 func TestWithoutFailFastEverythingRuns(t *testing.T) {
 	specs := grid(8)
-	specs[0] = Spec{Label: "bad", Run: func() (*sim.Report, error) { return nil, errors.New("nope") }}
+	specs[0] = Spec{Label: "bad", Run: func(context.Context) (*sim.Report, error) { return nil, errors.New("nope") }}
 	results := Run(Options{Jobs: 4}, specs)
 	for i := 1; i < len(results); i++ {
 		if results[i].Err != nil || results[i].Report == nil {
@@ -192,7 +196,7 @@ func TestArtifactDirWritesPerCellJSON(t *testing.T) {
 	specs := grid(3)
 	specs = append(specs, Spec{
 		Label: "weird / label:v2",
-		Run:   func() (*sim.Report, error) { return fakeReport(99), nil },
+		Run:   func(context.Context) (*sim.Report, error) { return fakeReport(99), nil },
 	})
 	res := Run(Options{Jobs: 2, ArtifactDir: dir}, specs)
 	if err := Errs(res); err != nil {
@@ -301,13 +305,11 @@ func TestSanitizeLabelCollisions(t *testing.T) {
 // TestTimeoutAbandonsSlowCell checks that a cell past Options.Timeout
 // records ErrTimeout while every other cell still runs and reports.
 func TestTimeoutAbandonsSlowCell(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
 	specs := grid(4)
 	specs = append(specs, Spec{
 		Label: "stuck",
-		Run: func() (*sim.Report, error) {
-			<-release // held open until the test finishes
+		Run: func(ctx context.Context) (*sim.Report, error) {
+			<-ctx.Done() // held open until its deadline ends it
 			return fakeReport(99), nil
 		},
 	})
@@ -337,10 +339,8 @@ func TestTimeoutAbandonsSlowCell(t *testing.T) {
 // TestTimeoutFailFastCancelsRest checks a timeout counts as a failure for
 // FailFast purposes: cells that have not started are canceled.
 func TestTimeoutFailFastCancelsRest(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
 	specs := []Spec{
-		{Label: "stuck", Run: func() (*sim.Report, error) { <-release; return nil, nil }},
+		{Label: "stuck", Run: func(ctx context.Context) (*sim.Report, error) { <-ctx.Done(); return nil, nil }},
 	}
 	specs = append(specs, grid(8)...)
 	results := Run(Options{Jobs: 1, FailFast: true, Timeout: 50 * time.Millisecond}, specs)
@@ -359,7 +359,7 @@ func TestTimeoutFailFastCancelsRest(t *testing.T) {
 }
 
 // TestTimeoutDisabledByDefault pins the zero Options running cells on the
-// worker goroutine itself (no deadline, no helper goroutine abandonment).
+// worker goroutine with no deadline.
 func TestTimeoutDisabledByDefault(t *testing.T) {
 	results := Run(Options{Jobs: 1}, grid(3))
 	for i, r := range results {
@@ -375,7 +375,7 @@ func TestContextCancelBetweenCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	specs := []Spec{{Label: "never", Run: func() (*sim.Report, error) {
+	specs := []Spec{{Label: "never", Run: func(context.Context) (*sim.Report, error) {
 		ran++
 		return fakeReport(0), nil
 	}}}
@@ -392,16 +392,14 @@ func TestContextCancelBetweenCells(t *testing.T) {
 }
 
 // TestContextCancelMidCell checks a cancel landing while a cell is in
-// flight abandons that cell promptly (ErrAborted) and skips the rest.
+// flight stops that cell promptly (ErrAborted) and skips the rest.
 func TestContextCancelMidCell(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	defer close(release)
 	entered := make(chan struct{})
 	specs := []Spec{
-		{Label: "stuck", Run: func() (*sim.Report, error) {
+		{Label: "stuck", Run: func(cellCtx context.Context) (*sim.Report, error) {
 			close(entered)
-			<-release // held open: only cancellation can unblock the sweep
+			<-cellCtx.Done() // held open: only cancellation can unblock the sweep
 			return fakeReport(0), nil
 		}},
 	}
@@ -421,6 +419,39 @@ func TestContextCancelMidCell(t *testing.T) {
 	}
 }
 
+// TestNoCellOutlivesRun checks Run waits for a cell whose context ended
+// to return: a cell that lingers 50 ms past its context's end has finished
+// by the time Run reports it, for a timeout and for a canceled sweep alike.
+func TestNoCellOutlivesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts func(context.Context) Options
+		want error
+	}{
+		{"timeout", func(ctx context.Context) Options { return Options{Timeout: 20 * time.Millisecond} }, ErrTimeout},
+		{"aborted", func(ctx context.Context) Options { return Options{Ctx: ctx} }, ErrAborted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			var finished atomic.Bool
+			specs := []Spec{{Label: "lingers", Run: func(cellCtx context.Context) (*sim.Report, error) {
+				<-cellCtx.Done()
+				time.Sleep(50 * time.Millisecond)
+				finished.Store(true)
+				return fakeReport(0), nil
+			}}}
+			results := Run(tc.opts(ctx), specs)
+			if !finished.Load() {
+				t.Fatal("Run returned while its cell was still running")
+			}
+			if !errors.Is(results[0].Err, tc.want) {
+				t.Fatalf("cell err = %v, want %v", results[0].Err, tc.want)
+			}
+		})
+	}
+}
+
 // TestNilContextIsBackground pins the compatibility contract: a zero
 // Options (nil Ctx) runs cells directly on the worker goroutine exactly as
 // before the field existed.
@@ -436,7 +467,7 @@ func TestNilContextIsBackground(t *testing.T) {
 // TestPanicUnderTimeoutIsCaptured checks the deadline path still converts a
 // panic into the cell's error with the stack attached.
 func TestPanicUnderTimeoutIsCaptured(t *testing.T) {
-	specs := []Spec{{Label: "boom", Run: func() (*sim.Report, error) { panic("kaboom") }}}
+	specs := []Spec{{Label: "boom", Run: func(context.Context) (*sim.Report, error) { panic("kaboom") }}}
 	results := Run(Options{Timeout: time.Second}, specs)
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "kaboom") {
 		t.Fatalf("panic not captured under timeout: %v", results[0].Err)

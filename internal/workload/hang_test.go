@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/barrier"
@@ -18,7 +19,7 @@ func TestDSWSmokeSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 		synth := &Synthetic{Iters: 2}
-		rep, err := Run(s, synth, barrier.KindDSW, n, 1_000_000)
+		rep, err := Run(context.Background(), s, synth, barrier.KindDSW, n, 1_000_000)
 		if err != nil {
 			t.Fatalf("n=%d: %v (episodes=%d cycles=%d)", n, err, rep.BarrierEpisodes, rep.Cycles)
 		}

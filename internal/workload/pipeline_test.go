@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/barrier"
@@ -16,7 +17,7 @@ func TestPipelineTwoContexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ScaledPipeline()
-	rep, err := Run(s, w, barrier.KindGL, 16, 100_000_000)
+	rep, err := Run(context.Background(), s, w, barrier.KindGL, 16, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/barrier"
@@ -18,7 +19,7 @@ func runSeeded(t *testing.T, bench Benchmark, seed int64) string {
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	rep, err := Run(s, bench, barrier.KindGL, 8, 200_000_000)
+	rep, err := Run(context.Background(), s, bench, barrier.KindGL, 8, 200_000_000)
 	if err != nil {
 		t.Fatalf("Run(%s, seed=%d): %v", bench.Name(), seed, err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/barrier"
@@ -38,7 +39,7 @@ func TestEM3DGraphProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(s, w, barrier.KindGL, 16, 1_000_000_000)
+		rep, err := Run(context.Background(), s, w, barrier.KindGL, 16, 1_000_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestKernelsShrinkWithThreads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Run(s, bench, barrier.KindGL, n, 1_000_000_000)
+			rep, err := Run(context.Background(), s, bench, barrier.KindGL, n, 1_000_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +89,7 @@ func TestOceanHaloTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(s, ScaledOcean(), barrier.KindGL, threads, 1_000_000_000)
+		rep, err := Run(context.Background(), s, ScaledOcean(), barrier.KindGL, threads, 1_000_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestBarrierRegionDominatesSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(s, &Synthetic{Iters: 50}, barrier.KindDSW, 8, 100_000_000)
+	rep, err := Run(context.Background(), s, &Synthetic{Iters: 50}, barrier.KindDSW, 8, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

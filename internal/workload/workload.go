@@ -15,6 +15,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -74,18 +75,19 @@ func validateThreads(s *sim.System, threads int) error {
 }
 
 // Run builds the benchmark on a fresh system and executes it to
-// completion: the standard harness path used by cmd/ and the benches.
-func Run(s *sim.System, bench Benchmark, kind barrier.Kind, threads int, maxCycles uint64) (*sim.Report, error) {
+// completion, or until ctx ends: the standard harness path used by cmd/
+// and the benches.
+func Run(ctx context.Context, s *sim.System, bench Benchmark, kind barrier.Kind, threads int, maxCycles uint64) (*sim.Report, error) {
 	b, err := s.NewBarrier(kind, threads)
 	if err != nil {
 		return nil, err
 	}
-	return RunWith(s, bench, b, threads, maxCycles)
+	return RunWith(ctx, s, bench, b, threads, maxCycles)
 }
 
 // RunWith is Run with a caller-constructed barrier (used by ablations that
 // tweak barrier internals before running).
-func RunWith(s *sim.System, bench Benchmark, b barrier.Barrier, threads int, maxCycles uint64) (*sim.Report, error) {
+func RunWith(ctx context.Context, s *sim.System, bench Benchmark, b barrier.Barrier, threads int, maxCycles uint64) (*sim.Report, error) {
 	progs, err := bench.Programs(s, b, threads)
 	if err != nil {
 		return nil, err
@@ -93,6 +95,7 @@ func RunWith(s *sim.System, bench Benchmark, b barrier.Barrier, threads int, max
 	if err := s.Launch(progs); err != nil {
 		return nil, err
 	}
+	s.Eng.Stop = ctx.Err
 	rep, err := s.Run(maxCycles)
 	if err != nil {
 		s.Close()

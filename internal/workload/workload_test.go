@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/barrier"
@@ -16,7 +17,7 @@ func runOne(t *testing.T, bench Benchmark, kind barrier.Kind, cores int) *sim.Re
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	rep, err := Run(s, bench, kind, cores, 200_000_000)
+	rep, err := Run(context.Background(), s, bench, kind, cores, 200_000_000)
 	if err != nil {
 		t.Fatalf("Run(%s,%s): %v", bench.Name(), kind, err)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -23,7 +24,7 @@ func runObserved(cores int, w Workload, kind BarrierKind) (*Report, error) {
 		return nil, err
 	}
 	tl := sys.AttachTimeline(1 << 16)
-	rep, err := workload.Run(sys, w, kind, cores, defaultCycleBudget)
+	rep, err := workload.Run(context.Background(), sys, w, kind, cores, defaultCycleBudget)
 	if err != nil {
 		return rep, err
 	}
@@ -68,7 +69,7 @@ func TestObservabilityDoesNotChangeFingerprints(t *testing.T) {
 		c := c
 		specs[i] = sweep.Spec{
 			Label: c.key,
-			Run:   func() (*Report, error) { return runObserved(goldenCores, c.w, c.kind) },
+			Run:   func(context.Context) (*Report, error) { return runObserved(goldenCores, c.w, c.kind) },
 		}
 	}
 	results := sweep.Run(Parallel, specs)
@@ -102,7 +103,7 @@ func TestHostWorkCountersRepeat(t *testing.T) {
 		t.Run(c.key, func(t *testing.T) {
 			var runs [2]*Report
 			for i := range runs {
-				rep, err := runFresh(goldenCores, c.w, c.kind)
+				rep, err := runFresh(context.Background(), goldenCores, c.w, c.kind)
 				if err != nil {
 					t.Fatal(err)
 				}

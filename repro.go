@@ -16,6 +16,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,7 +89,7 @@ func Benchmark(name string, tier Tier) Workload {
 // RunBenchmark executes one benchmark on a fresh system with the given
 // barrier implementation and thread count.
 func RunBenchmark(sys *System, w Workload, kind BarrierKind, threads int) (*Report, error) {
-	return workload.Run(sys, w, kind, threads, defaultCycleBudget)
+	return workload.Run(context.TODO(), sys, w, kind, threads, defaultCycleBudget)
 }
 
 // defaultCycleBudget bounds any single run; the paper-scale OCEAN run is
@@ -106,8 +107,8 @@ var traceDir string
 // Table2/... start; passing "" disables export again.
 func SetTraceDir(dir string) { traceDir = dir }
 
-// runFresh builds a system and runs one benchmark on it.
-func runFresh(cores int, w Workload, kind BarrierKind) (*Report, error) {
+// runFresh builds a system and runs one benchmark on it until ctx ends.
+func runFresh(ctx context.Context, cores int, w Workload, kind BarrierKind) (*Report, error) {
 	sys, err := sim.New(config.Default(cores))
 	if err != nil {
 		return nil, err
@@ -116,7 +117,7 @@ func runFresh(cores int, w Workload, kind BarrierKind) (*Report, error) {
 	if traceDir != "" {
 		tl = sys.AttachTimeline(1 << 18)
 	}
-	rep, rerr := workload.Run(sys, w, kind, cores, defaultCycleBudget)
+	rep, rerr := workload.Run(ctx, sys, w, kind, cores, defaultCycleBudget)
 	if tl != nil {
 		// Export even when the run failed — a hang's timeline is the most
 		// interesting one — but never let an export error mask a run error.
@@ -154,6 +155,6 @@ func writeTraceArtifact(tl *trace.Timeline, bench string, kind BarrierKind, core
 func benchSpec(cores int, w Workload, kind BarrierKind) sweep.Spec {
 	return sweep.Spec{
 		Label: fmt.Sprintf("%s/%s/%d", w.Name(), kind, cores),
-		Run:   func() (*Report, error) { return runFresh(cores, w, kind) },
+		Run:   func(ctx context.Context) (*Report, error) { return runFresh(ctx, cores, w, kind) },
 	}
 }

@@ -1,7 +1,13 @@
 package repro
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"time"
+
+	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // jobs8 is the parallel configuration the acceptance gate pins against
@@ -122,4 +128,32 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTimedOutCellsStop runs two repro-tier cells that need seconds under
+// a 300 ms Timeout: both record ErrTimeout within a second, and none of
+// their goroutines outlives the sweep.
+func TestTimedOutCellsStop(t *testing.T) {
+	w := workload.ReproUnstructured()
+	specs := []sweep.Spec{benchSpec(32, w, CSW), benchSpec(32, w, DSW)}
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	results := sweep.Run(SweepOptions{Jobs: 2, Timeout: 300 * time.Millisecond}, specs)
+	elapsed := time.Since(start)
+	for _, r := range results {
+		if !errors.Is(r.Err, sweep.ErrTimeout) {
+			t.Errorf("%s: err = %v, want ErrTimeout", r.Label, r.Err)
+		}
+	}
+	if elapsed > time.Second {
+		t.Errorf("sweep returned after %v, want within 1s", elapsed)
+	}
+	// A worker is still exiting for a moment after its last wg.Done.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(100 * time.Millisecond); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d goroutines before the sweep, %d after it", before, after)
+	}
 }

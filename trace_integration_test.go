@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestTraceAttributionReconciles(t *testing.T) {
 	const cores = 16
 	w := workload.TestSynthetic()
 
-	plain, err := runFresh(cores, w, GL)
+	plain, err := runFresh(context.Background(), cores, w, GL)
 	if err != nil {
 		t.Fatalf("untraced run: %v", err)
 	}
@@ -34,7 +35,7 @@ func TestTraceAttributionReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := sys.AttachTimeline(1 << 20)
-	rep, err := workload.Run(sys, w, GL, cores, defaultCycleBudget)
+	rep, err := workload.Run(context.Background(), sys, w, GL, cores, defaultCycleBudget)
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
@@ -136,7 +137,7 @@ func TestTraceAttributionReconciles(t *testing.T) {
 // snake_case.
 func TestReportProvenanceAndConfigEcho(t *testing.T) {
 	const cores = 8
-	rep, err := runFresh(cores, workload.TestSynthetic(), GL)
+	rep, err := runFresh(context.Background(), cores, workload.TestSynthetic(), GL)
 	if err != nil {
 		t.Fatal(err)
 	}

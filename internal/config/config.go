@@ -76,6 +76,10 @@ type Config struct {
 	Faults *fault.Plan
 }
 
+// MaxCores is the largest core count a configuration may have: the
+// directory keeps its sharers in a 64-bit set.
+const MaxCores = 64
+
 // Default32 returns the paper's Table 1 baseline: a 32-core, 8x4-mesh CMP.
 func Default32() Config {
 	c := Default(32)
@@ -117,7 +121,7 @@ func SquarestMesh(n int) (cols, rows int) {
 		return 0, 0
 	}
 	rows = 1
-	for r := 2; r*r <= n; r++ {
+	for r := 2; r <= n/r; r++ {
 		if n%r == 0 {
 			rows = r
 		}
@@ -133,8 +137,8 @@ func (c Config) Validate() error {
 	if c.MeshCols*c.MeshRows != c.Cores {
 		return fmt.Errorf("config: mesh %dx%d does not cover %d cores", c.MeshCols, c.MeshRows, c.Cores)
 	}
-	if c.Cores > 64 {
-		return fmt.Errorf("config: at most 64 cores supported (directory sharer bitset), got %d", c.Cores)
+	if c.Cores > MaxCores {
+		return fmt.Errorf("config: at most %d cores supported (directory sharer bitset), got %d", MaxCores, c.Cores)
 	}
 	if c.IssueWidth <= 0 {
 		return fmt.Errorf("config: IssueWidth must be positive, got %d", c.IssueWidth)

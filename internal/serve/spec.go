@@ -139,6 +139,11 @@ func ParseJobSpec(s string) (*JobSpec, error) {
 				if err != nil || n <= 0 {
 					return nil, fmt.Errorf("serve: bad cores value %q", c)
 				}
+				if n > config.MaxCores {
+					// Rejected before validate factors the mesh, which
+					// takes time growing with n.
+					return nil, fmt.Errorf("serve: cores=%d exceeds the %d-core limit", n, config.MaxCores)
+				}
 				if !containsInt(spec.Cores, n) {
 					spec.Cores = append(spec.Cores, n)
 				}

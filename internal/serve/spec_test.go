@@ -102,16 +102,18 @@ func TestParseJobSpecRoundTrip(t *testing.T) {
 
 func TestParseJobSpecErrors(t *testing.T) {
 	bad := map[string]string{
-		"not-a-directive":     "key=value",
-		"bench=NOPE":          "",
-		"barrier=XX":          "",
-		"cores=0":             "cores",
-		"cores=-1":            "cores",
-		"tier=huge":           "",
-		"threads=64 cores=16": "exceeds",
-		"max_cycles=0":        "max_cycles",
-		"faults=zz.bogus=1":   "",
-		"frobnicate=1":        "unknown directive",
+		"not-a-directive": "key=value",
+		"bench=NOPE":      "",
+		"barrier=XX":      "",
+		"cores=0":         "cores",
+		"cores=-1":        "cores",
+		// Huge core counts fail fast, before any mesh is factored.
+		"cores=9223372036854775807": "limit",
+		"tier=huge":                 "",
+		"threads=64 cores=16":       "exceeds",
+		"max_cycles=0":              "max_cycles",
+		"faults=zz.bogus=1":         "",
+		"frobnicate=1":              "unknown directive",
 	}
 	for spec, frag := range bad {
 		_, err := ParseJobSpec(spec)
@@ -135,6 +137,38 @@ func TestParseJobSpecErrors(t *testing.T) {
 	if _, err := ParseJobSpec(b.String()); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized grid: got %v, want limit error", err)
 	}
+}
+
+// FuzzParseJobSpec feeds arbitrary request specs to the parser: no input
+// may panic or hang it, a parsed spec's canonical form must parse back to
+// itself, and no spec may expand past MaxGridCells.
+func FuzzParseJobSpec(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"cores=9223372036854775807",
+		"bench=SYNTH|KERN2 barrier=GL|CSW cores=16|32 seed=0|7 tier=test",
+		"bench=SYNTH cores=8 tier=test seed=1|2 threads=4 max_cycles=1000000",
+		"bench=SYNTH cores=8 tier=test faults=seed=7,gl.drop=1e-4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseJobSpec(s)
+		if err != nil {
+			return
+		}
+		if n := len(spec.Cells()); n > MaxGridCells {
+			t.Fatalf("%q expands to %d cells, limit %d", s, n, MaxGridCells)
+		}
+		canon := spec.String()
+		again, err := ParseJobSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, s, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("%q: round-trip %q != %q", s, got, canon)
+		}
+	})
 }
 
 func fmtInt(b *strings.Builder, v int) {

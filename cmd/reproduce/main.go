@@ -201,7 +201,7 @@ func main() {
 	})
 	run("faults", func() error {
 		fmt.Printf("== Resilience: barrier degradation under injected G-line/NoC faults (tier=%s, %d cores) ==\n", tier, *cores)
-		fmt.Println("(cycles/barrier per series; a wedged GL-raw cell is the expected deadlock of the unguarded protocol)")
+		fmt.Println("(cycles/barrier per series; GL-raw runs the unguarded protocol, and a cell it wedges prints as an error: data, not a failure)")
 		points, err := repro.FaultStudy(tier, *cores, repro.DefaultFaultRates, opt)
 		barriers := workload.SyntheticFor(tier).Barriers(*cores)
 		emit("faults", repro.RenderFaults(points, barriers))

@@ -9,7 +9,7 @@ import (
 
 // TestZeroAllocFlitStep is the mesh's alloc regression gate: once the
 // packet pool and router ring buffers are warm, a full corner-to-corner
-// send — inject, per-hop routing, delivery, packet recycle — must not
+// send — inject, placed hops, delivery, packet recycle — must not
 // allocate (ISSUE: zero steady-state allocation in flit stepping).
 func TestZeroAllocFlitStep(t *testing.T) {
 	eng := engine.New()
@@ -44,8 +44,8 @@ func TestZeroAllocFlitStep(t *testing.T) {
 
 // TestZeroAllocWakeRun gates the wake path: the same corner-to-corner
 // traffic driven by Engine.Run, which ticks the mesh only on cycles a
-// router is due (woken by inject and arrive) and fast-forwards the rest,
-// must not allocate either.
+// router is due (filed in the due calendar, or woken by an injection) and
+// fast-forwards the rest, must not allocate either.
 func TestZeroAllocWakeRun(t *testing.T) {
 	eng := engine.New()
 	delivered := 0

@@ -58,9 +58,9 @@ serve-chaos-smoke:
 
 # Ten-second fuzz smoke per target — the fault-plan parser, the cache model,
 # the G-line barrier schedule, the engine's event queue against a sorted
-# reference, both chaos layers' .repro parsers, the host-fault plan parser
-# and glsimd's job-spec parser: catches regressions without a dedicated
-# fuzzing job.
+# reference, both chaos layers' .repro parsers, the host-fault plan parser,
+# glsimd's job-spec parser and its job-journal decoder: catches regressions
+# without a dedicated fuzzing job.
 fuzz-smoke:
 	go test -fuzz=FuzzParsePlan -fuzztime=10s -run '^$$' ./internal/fault
 	go test -fuzz=FuzzCacheOperations -fuzztime=10s -run '^$$' ./internal/cache
@@ -69,6 +69,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzParseReproducer -fuzztime=10s -run '^$$' ./internal/chaos
 	go test -fuzz=FuzzParseHostPlan -fuzztime=10s -run '^$$' ./internal/serve/hostfault
 	go test -fuzz=FuzzParseJobSpec -fuzztime=10s -run '^$$' ./internal/serve
+	go test -fuzz=FuzzJournal -fuzztime=10s -run '^$$' ./internal/serve
 
 # Chaos smoke: replay the minimized-reproducer corpus (pinned oracle
 # verdicts) and check the fixed-seed campaign against

@@ -9,15 +9,19 @@
 // On-disk format: one record per line, "crc32hex json\n", where the CRC
 // (IEEE) covers the JSON bytes. Appends are fsync'd. A torn tail — the
 // partial last line a crash mid-append leaves — is tolerated on open:
-// scanning stops at the first record whose CRC or framing fails, and the
-// journal is compacted (pending submissions only, temp file + rename)
-// before reopening for append, so torn bytes never accumulate.
+// scanning stops at the first line whose CRC or framing fails, that lacks
+// its newline, or that is longer than any record, and the journal is
+// compacted (pending submissions only, temp file + rename) before
+// reopening for append, so torn bytes never accumulate.
 package serve
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -83,9 +87,14 @@ func OpenJournal(path string) (j *Journal, pending []PendingJob, maxID int, torn
 			return nil, nil, 0, 0, fmt.Errorf("serve: journal: %w", err)
 		}
 	}
-	pending, maxID, torn, err = scanJournal(path)
-	if err != nil {
-		return nil, nil, 0, 0, err
+	if f, err := os.Open(path); err == nil {
+		pending, maxID, torn, err = scanJournal(f)
+		f.Close()
+		if err != nil {
+			return nil, nil, 0, 0, err
+		}
+	} else if !os.IsNotExist(err) {
+		return nil, nil, 0, 0, fmt.Errorf("serve: journal: %w", err)
 	}
 	// Compact: rewrite only the pending submissions (temp file + rename),
 	// dropping terminal jobs and any torn tail. A crash during compaction
@@ -132,18 +141,15 @@ func OpenJournal(path string) (j *Journal, pending []PendingJob, maxID int, torn
 	return &Journal{path: path, f: f}, pending, maxID, torn, nil
 }
 
+// maxJournalLine caps a journal line. The longest record is a submitted
+// one, whose canonical spec is no longer than the request body it came in
+// plus its defaults, and bodies are capped at a quarter of this
+// (maxSubmitBody), so a longer line is corrupt.
+const maxJournalLine = 4 << 20
+
 // scanJournal reads every valid record, stopping at the first torn or
 // corrupt line.
-func scanJournal(path string) (pending []PendingJob, maxID int, torn int, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("serve: journal: %w", err)
-	}
-	defer f.Close()
-
+func scanJournal(r io.Reader) (pending []PendingJob, maxID int, torn int, err error) {
 	type jobLog struct {
 		spec     string
 		order    int
@@ -151,8 +157,9 @@ func scanJournal(path string) (pending []PendingJob, maxID int, torn int, err er
 	}
 	jobs := map[string]*jobLog{}
 	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxJournalLine)
+	sc.Split(scanRecordLines)
 	valid := true
 	for sc.Scan() {
 		if !valid {
@@ -161,8 +168,9 @@ func scanJournal(path string) (pending []PendingJob, maxID int, torn int, err er
 			torn++
 			continue
 		}
-		rec, ok := parseJournalLine(sc.Text())
-		if !ok {
+		line, terminated := strings.CutSuffix(sc.Text(), "\n")
+		rec, ok := parseJournalLine(line)
+		if !ok || !terminated {
 			valid = false
 			torn++
 			continue
@@ -182,7 +190,11 @@ func scanJournal(path string) (pending []PendingJob, maxID int, torn int, err er
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		// A line past maxJournalLine is corrupt too. The scanner cannot
+		// find the next line after it, so lines past it go uncounted.
+		torn++
+	} else if err != nil {
 		return nil, 0, 0, fmt.Errorf("serve: journal scan: %w", err)
 	}
 	for _, id := range order {
@@ -191,6 +203,18 @@ func scanJournal(path string) (pending []PendingJob, maxID int, torn int, err er
 		}
 	}
 	return pending, maxID, torn, nil
+}
+
+// scanRecordLines splits a journal into lines that keep their newline, so
+// a last line a crash cut short can be told from a complete one.
+func scanRecordLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // journalLine frames one record: crc32(json) in fixed-width hex, a space,

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +152,139 @@ func TestJournalCorruptLineStopsTrust(t *testing.T) {
 	if len(pending) != 1 || pending[0].ID != "j1" {
 		t.Fatalf("pending = %+v, want j1 only", pending)
 	}
+}
+
+// TestJournalTailWithoutRecord: a valid record followed by bytes that
+// end in no complete line — 5 MiB of garbage past the line cap, or a whole
+// record missing its newline — replays the record, counts the tail as one
+// torn line, and compacts it away.
+func TestJournalTailWithoutRecord(t *testing.T) {
+	whole, err := journalLine(journalRecord{T: journalSubmitted, ID: "j2", Spec: "spec-two"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tail := range map[string]string{
+		"oversized":    strings.Repeat("x", 5<<20),
+		"unterminated": strings.TrimSuffix(whole, "\n"),
+	} {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		j, _, _, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(journalRecord{T: journalSubmitted, ID: "j1", Spec: "spec-one"}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(tail)
+		f.Close()
+
+		j2, pending, _, torn, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		j2.Close()
+		if torn != 1 || len(pending) != 1 || pending[0] != (PendingJob{ID: "j1", Spec: "spec-one"}) {
+			t.Fatalf("%s: pending=%+v torn=%d, want j1 and 1 torn line", name, pending, torn)
+		}
+		j3, _, _, torn, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j3.Close()
+		if torn != 0 {
+			t.Fatalf("%s: torn after compaction = %d, want 0", name, torn)
+		}
+	}
+}
+
+// FuzzJournal feeds scanJournal the records ops encodes followed by
+// arbitrary tail bytes, with long set to append 5 MiB of garbage (past
+// maxJournalLine). No input may panic; every pending job must be a
+// submitted record that parses; and when the tail holds no
+// newline-terminated valid record, the pending jobs are exactly those the
+// records leave, and a non-empty tail counts as torn.
+func FuzzJournal(f *testing.F) {
+	rec, err := journalLine(journalRecord{T: journalSubmitted, ID: "j9", Spec: "bench=SYNTH"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{0}, []byte(nil), true)
+	f.Add([]byte{0, 1, 6, 2, 4}, []byte(`deadbeef {"t":"submi`), false)
+	f.Add([]byte{0}, []byte(strings.TrimSuffix(rec, "\n")), false)
+	f.Add([]byte{0, 2}, []byte("garbage\n"+rec), false)
+	f.Add([]byte{0}, []byte(rec), false)
+	f.Fuzz(func(t *testing.T, ops, tail []byte, long bool) {
+		if long {
+			tail = append(tail, bytes.Repeat([]byte("x"), 5<<20)...)
+		}
+		var data []byte
+		var order []PendingJob
+		seen, terminal := map[string]bool{}, map[string]bool{}
+		for _, op := range ops {
+			rec := journalRecord{ID: fmt.Sprintf("j%d", op>>2&7)}
+			switch op & 3 {
+			case 0:
+				rec.T, rec.Spec = journalSubmitted, fmt.Sprintf("seed=%d", op>>5)
+				if !seen[rec.ID] {
+					seen[rec.ID] = true
+					order = append(order, PendingJob{ID: rec.ID, Spec: rec.Spec})
+				}
+			case 1:
+				rec.T = journalStarted
+			case 2:
+				rec.T, rec.State = journalTerminal, StateDone
+				terminal[rec.ID] = terminal[rec.ID] || seen[rec.ID]
+			case 3:
+				rec.T = journalMark
+			}
+			line, err := journalLine(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(data, line...)
+		}
+		data = append(data, tail...)
+		pending, _, torn, err := scanJournal(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+
+		submitted := map[PendingJob]bool{}
+		for _, line := range strings.Split(string(data), "\n") {
+			if rec, ok := parseJournalLine(line); ok && rec.T == journalSubmitted {
+				submitted[PendingJob{ID: rec.ID, Spec: rec.Spec}] = true
+			}
+		}
+		for _, p := range pending {
+			if !submitted[p] {
+				t.Fatalf("pending %+v was never submitted", p)
+			}
+		}
+
+		lines := strings.Split(string(tail), "\n")
+		for _, line := range lines[:len(lines)-1] {
+			if _, ok := parseJournalLine(line); ok {
+				return // a valid record in the tail may replay
+			}
+		}
+		var want []PendingJob
+		for _, p := range order {
+			if !terminal[p.ID] {
+				want = append(want, p)
+			}
+		}
+		if !slices.Equal(pending, want) {
+			t.Fatalf("pending %+v, want %+v", pending, want)
+		}
+		if len(tail) > 0 && torn == 0 {
+			t.Fatalf("a %d-byte tail without a record counted no torn line", len(tail))
+		}
+	})
 }
 
 // TestServerJournalReplay: an abandoned server's unfinished jobs replay on

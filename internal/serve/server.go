@@ -793,11 +793,21 @@ func (s *Server) recoverHandler(next http.Handler) http.Handler {
 	})
 }
 
+// maxSubmitBody caps a POST /v1/jobs body at forty times the spec of a
+// full grid (MaxGridCells twenty-digit seeds and every other directive,
+// about 25 KB), which leaves room for whitespace, repeated alternatives
+// and the events a fault plan schedules.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Spec string `json:"spec"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&body); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -536,6 +536,28 @@ func TestDrain(t *testing.T) {
 }
 
 // TestSubmitValidation: bad specs are rejected with 400 and counted.
+// TestSubmitBodyLimit: a body over maxSubmitBody is refused with 413
+// before its spec is parsed — a spec that would parse, padded past the
+// cap, creates no job and is not even counted as a rejected spec.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv, ts := testServer(t, Options{ConcurrentJobs: 1})
+	body, _ := json.Marshal(map[string]string{"spec": "bench=SYNTH cores=8 tier=test" + strings.Repeat(" ", maxSubmitBody)})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+	if n := srv.Stats().Counters[metricJobsRejected]; n != 0 {
+		t.Fatalf("jobs.rejected = %d: the oversized spec reached the parser", n)
+	}
+	if jobs := srv.JobStatuses(); len(jobs) != 0 {
+		t.Fatalf("oversized body created jobs %+v", jobs)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	srv, ts := testServer(t, Options{ConcurrentJobs: 1})
 	body, _ := json.Marshal(map[string]string{"spec": "bench=NOPE"})
